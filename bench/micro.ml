@@ -5,7 +5,12 @@
    - headline row path: key encode, row encode/decode (table of §5.1.2);
    - Figure 2 counterpart: single-batch insert into a table;
    - Figure 3 counterpart: block build + LZ compression (flush path);
+   - the write path's layers one at a time: LZ compression and CRC-32C
+     of a 64 kB row block, and an N-tablet merge rewrite;
    - Figure 5/6 counterpart: cursor merge step and block binary search;
+
+   Every input is built at module initialisation, outside the timed
+   closures.
    - §3.4.5: bloom add/mem; §4.1.2: HLL add. *)
 
 open Bechamel
@@ -70,6 +75,74 @@ let test_lz_compress =
   Test.make ~name:"lz compress (64 kB text)"
     (Staged.stage (fun () -> ignore (Lt_lz.Lz.compress compressible_64k)))
 
+let test_lz_compress_rows =
+  Test.make ~name:"lz compress (64 kB row block)"
+    (Staged.stage (fun () -> ignore (Lt_lz.Lz.compress block_64k)))
+
+let test_crc32c =
+  Test.make ~name:"crc32c (64 kB row block)"
+    (Staged.stage (fun () -> ignore (Lt_util.Crc32c.string block_64k)))
+
+(* The rewrite loop of a merge — open the inputs, k-way merge their
+   encoded rows, write and finish the output tablet — over four
+   pre-written tablets whose keys interleave. *)
+let merge_inputs = 4
+
+let merge_rows = 1000
+
+let merge_vfs, merge_paths =
+  let vfs = Lt_vfs.Vfs.memory () in
+  let rng = Lt_util.Xorshift.create 6L in
+  let write t =
+    let path = Printf.sprintf "in%d.tab" t in
+    let w =
+      Tablet.writer vfs ~path ~schema ~block_size:(64 * 1024)
+        ~bloom_bits_per_key:10 ~expected_rows:merge_rows ()
+    in
+    for i = 0 to merge_rows - 1 do
+      let seq = Int64.of_int ((i * merge_inputs) + t) in
+      let row = Support.make_row rng ~ts:seq ~row_size:128 in
+      row.(0) <- Value.Int64 seq;
+      Tablet.add_row w ~key:(Key_codec.encode_key schema row) ~ts:seq row
+    done;
+    ignore (Tablet.finish w);
+    path
+  in
+  (vfs, List.init merge_inputs write)
+
+let test_merge =
+  Test.make
+    ~name:(Printf.sprintf "merge %d tablets (%d rows)" merge_inputs
+             (merge_inputs * merge_rows))
+    (Staged.stage (fun () ->
+         let readers =
+           List.map
+             (fun path -> Tablet.open_reader merge_vfs ~path ~into:schema)
+             merge_paths
+         in
+         let src =
+           Cursor.merge ~asc:true
+             (List.mapi
+                (fun i r -> (i, Tablet.iter r ~form:Tablet.Encoded ~asc:true ()))
+                readers)
+         in
+         let w =
+           Tablet.writer merge_vfs ~path:"out.tab" ~schema
+             ~block_size:(64 * 1024) ~bloom_bits_per_key:10
+             ~expected_rows:(merge_inputs * merge_rows) ()
+         in
+         let rec copy () =
+           match src () with
+           | None -> ()
+           | Some (key, value) ->
+               Tablet.add w ~key ~ts:(Key_codec.ts_of_key key) ~value;
+               copy ()
+         in
+         copy ();
+         ignore (Tablet.finish w);
+         List.iter Tablet.close readers;
+         Lt_vfs.Vfs.delete merge_vfs "out.tab"))
+
 let test_lz_roundtrip =
   let c = Lt_lz.Lz.compress compressible_64k in
   let n = String.length compressible_64k in
@@ -117,7 +190,8 @@ let all_tests =
   Test.make_grouped ~name:"littletable"
     [
       test_key_encode; test_row_decode; test_memtable_insert;
-      test_block_decode_search; test_lz_compress; test_lz_roundtrip;
+      test_block_decode_search; test_lz_compress; test_lz_compress_rows;
+      test_crc32c; test_merge; test_lz_roundtrip;
       test_bloom; test_hll; test_table_insert_batch; test_query_point;
     ]
 

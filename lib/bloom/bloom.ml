@@ -22,13 +22,8 @@ let create ?(bits_per_key = 10) ~expected_keys () =
   let k = max 1 (min 16 (int_of_float (0.69 *. float_of_int bits_per_key))) in
   { bits = Bytes.make nbytes '\000'; nbits; k }
 
-let indices t key f =
-  let h1 = fnv1a 0 key in
-  let h2 = fnv1a 0x1E3779B97F4A7C15 key in
-  for i = 0 to t.k - 1 do
-    let h = (h1 + (i * h2)) land max_int in
-    f (h mod t.nbits)
-  done
+(* The [i]th of a key's [k] bit indices, from its two hashes. *)
+let index t h1 h2 i = ((h1 + (i * h2)) land max_int) mod t.nbits
 
 let set_bit t idx =
   let byte = idx lsr 3 and bit = idx land 7 in
@@ -39,12 +34,21 @@ let get_bit t idx =
   let byte = idx lsr 3 and bit = idx land 7 in
   Char.code (Bytes.get t.bits byte) land (1 lsl bit) <> 0
 
-let add t key = indices t key (set_bit t)
+(* Plain loops rather than a callback per index: [add] runs once per key
+   and per key prefix of every tablet row written. *)
+let add t key =
+  let h1 = fnv1a 0 key and h2 = fnv1a 0x1E3779B97F4A7C15 key in
+  for i = 0 to t.k - 1 do
+    set_bit t (index t h1 h2 i)
+  done
 
 let mem t key =
-  let ok = ref true in
-  indices t key (fun idx -> if not (get_bit t idx) then ok := false);
-  !ok
+  let h1 = fnv1a 0 key and h2 = fnv1a 0x1E3779B97F4A7C15 key in
+  let i = ref 0 in
+  while !i < t.k && get_bit t (index t h1 h2 !i) do
+    incr i
+  done;
+  !i = t.k
 
 let bit_count t = t.nbits
 

@@ -50,17 +50,25 @@ let last_key b = b.last
 
 let first_key b = b.first
 
+(* One copy of the payload: the header and offsets are written straight
+   into the output around it (offsets back to front, as they are kept). *)
 let finish b =
-  let out = Buffer.create (raw_size b) in
-  Binio.put_varint out b.count;
-  List.iter (fun off -> Binio.put_u32 out off) (List.rev b.offsets);
-  Buffer.add_buffer out b.payload;
+  let head = Buffer.create 5 in
+  Binio.put_varint head b.count;
+  let hlen = Buffer.length head + (4 * b.count) in
+  let out = Bytes.create (hlen + Buffer.length b.payload) in
+  Buffer.blit head 0 out 0 (Buffer.length head);
+  List.iteri
+    (fun k off ->
+      Bytes.set_int32_le out (hlen - (4 * (k + 1))) (Int32.of_int off))
+    b.offsets;
+  Buffer.blit b.payload 0 out hlen (Buffer.length b.payload);
   Buffer.clear b.payload;
   b.offsets <- [];
   b.count <- 0;
   b.first <- None;
   b.last <- None;
-  Buffer.contents out
+  Bytes.unsafe_to_string out
 
 (* {1 Columnar building} *)
 
@@ -110,19 +118,17 @@ let col_last_key b = b.cb_last
    {v u8 codec | varint comp_len | varint raw_len | payload v}
    with codec 1 = LZ (used only when it actually shrinks), 0 = raw. *)
 let put_section out raw =
-  let comp = Lt_lz.Lz.compress raw in
-  if String.length comp < String.length raw then begin
-    Binio.put_u8 out 1;
-    Binio.put_varint out (String.length comp);
-    Binio.put_varint out (String.length raw);
-    Buffer.add_string out comp
-  end
-  else begin
-    Binio.put_u8 out 0;
-    Binio.put_varint out (String.length raw);
-    Binio.put_varint out (String.length raw);
-    Buffer.add_string out raw
-  end
+  match Lt_lz.Lz.compress_if_smaller raw with
+  | Some comp ->
+      Binio.put_u8 out 1;
+      Binio.put_varint out (String.length comp);
+      Binio.put_varint out (String.length raw);
+      Buffer.add_string out comp
+  | None ->
+      Binio.put_u8 out 0;
+      Binio.put_varint out (String.length raw);
+      Binio.put_varint out (String.length raw);
+      Buffer.add_string out raw
 
 let col_finish b =
   let n = b.cb_count in
@@ -205,8 +211,8 @@ type repr = Row_r of row_repr | Col_r of col_repr
 
 type t = { data : string; repr : repr }
 
-let decode data =
-  let cur = Binio.cursor data in
+let decode ?pos data =
+  let cur = Binio.cursor ?pos data in
   let count = Binio.get_varint cur in
   if count < 0 || count > String.length data then
     raise (Binio.Corrupt "block: implausible row count");
@@ -237,8 +243,8 @@ let get_section_desc cur ~bitmap =
   { cd_bitmap = bitmap; cd_codec = codec; cd_off = off; cd_comp_len = comp_len;
     cd_raw_len = raw_len }
 
-let decode_columnar schema data =
-  let cur = Binio.cursor data in
+let decode_columnar ?pos schema data =
+  let cur = Binio.cursor ?pos data in
   if Binio.get_u8 cur <> col_magic then
     raise (Binio.Corrupt "block: bad columnar magic");
   if Binio.get_u8 cur <> col_version then

@@ -89,15 +89,18 @@ val col_finish : col_builder -> string * Agg.col_stats array
 
 type t
 
-(** Decode a row-major block.
+(** Decode a row-major block, starting at byte [pos] (default 0) of
+    the given string — a frame can be decoded in place, without copying
+    its payload out. {!data} is then the whole string, and spans are
+    offsets into it.
     @raise Lt_util.Binio.Corrupt on malformed input. *)
-val decode : string -> t
+val decode : ?pos:int -> string -> t
 
 (** Decode a column-major block written under the given (stored)
     schema. Keys are materialized eagerly; column sections stay
     compressed until {!read_column}/{!columnar_rows} asks for them.
     @raise Lt_util.Binio.Corrupt on malformed input. *)
-val decode_columnar : Schema.t -> string -> t
+val decode_columnar : ?pos:int -> Schema.t -> string -> t
 
 val layout : t -> layout
 

@@ -1,8 +1,10 @@
 open Lt_util
 
-type source = unit -> (string * Value.t array) option
+type 'a stream = unit -> (string * 'a) option
 
-type head = { key : string; row : Value.t array; prio : int; src : source }
+type source = Value.t array stream
+
+type 'a head = { key : string; row : 'a; prio : int; src : 'a stream }
 
 let merge ~asc sources =
   let cmp a b =

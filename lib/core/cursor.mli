@@ -12,28 +12,34 @@
     key — possible only if uniqueness enforcement was bypassed — the
     higher-priority row wins and the others are dropped. *)
 
-(** A pull iterator: [None] means exhausted. Single-consumer. *)
-type source = unit -> (string * Value.t array) option
+(** A pull iterator over [(encoded key, payload)]: [None] means
+    exhausted. Single-consumer. The payload is whatever the producer
+    carries — queries stream decoded rows, tablet rewrites stream value
+    encodings — and nothing here looks past the key. *)
+type 'a stream = unit -> (string * 'a) option
 
-(** [merge ~asc sources] merge-sorts [(priority, source)] pairs into one
+(** A stream of decoded rows. *)
+type source = Value.t array stream
+
+(** [merge ~asc sources] merge-sorts [(priority, stream)] pairs into one
     ordered, deduplicated stream. *)
-val merge : asc:bool -> (int * source) list -> source
+val merge : asc:bool -> (int * 'a stream) list -> 'a stream
 
 (** [filter_ts ~scanned ?ts_min ?ts_max src] drops rows whose key
     timestamp (last 8 key bytes) falls outside the inclusive bounds,
     incrementing [scanned] for every row examined — the numerator of the
     paper's rows-scanned/rows-returned efficiency metric (§5.2.4). *)
 val filter_ts :
-  scanned:int ref -> ?ts_min:int64 -> ?ts_max:int64 -> source -> source
+  scanned:int ref -> ?ts_min:int64 -> ?ts_max:int64 -> 'a stream -> 'a stream
 
 (** Stop after [n] rows. *)
-val take : int -> source -> source
+val take : int -> 'a stream -> 'a stream
 
 (** Drain the source through an accumulator — how aggregate pushdown
     consumes the residue streams that footer stats could not answer. *)
-val fold : ('a -> string * Value.t array -> 'a) -> 'a -> source -> 'a
+val fold : ('acc -> string * 'a -> 'acc) -> 'acc -> 'a stream -> 'acc
 
-val to_list : source -> (string * Value.t array) list
+val to_list : 'a stream -> (string * 'a) list
 
 (** Rows only, discarding keys. *)
-val rows : source -> Value.t array list
+val rows : 'a stream -> 'a list

@@ -104,17 +104,21 @@ let encode_key schema row =
   Array.iter (fun i -> encode_value buf row.(i)) (Schema.pkey schema);
   Buffer.contents buf
 
-let encode_key_with_prefixes schema row =
-  let buf = Buffer.create 32 in
+(* Column boundaries straight from the bytes: fixed-width types have
+   their width, and a string ends at its 0x00 terminator — escapes are
+   0x01 0x01 / 0x01 0x02, so the first 0x00 is always the terminator. *)
+let iter_prefix_lengths schema key f =
   let pkey = Schema.pkey schema in
-  let k = Array.length pkey in
-  let prefixes = ref [] in
-  Array.iteri
-    (fun i col ->
-      encode_value buf row.(col);
-      if i < k - 1 then prefixes := Buffer.contents buf :: !prefixes)
-    pkey;
-  (Buffer.contents buf, List.rev !prefixes)
+  let cols = Schema.columns schema in
+  let pos = ref 0 in
+  for i = 0 to Array.length pkey - 2 do
+    (pos :=
+       match cols.(pkey.(i)).Schema.ctype with
+       | Value.T_int32 -> !pos + 4
+       | Value.T_int64 | Value.T_timestamp | Value.T_double -> !pos + 8
+       | Value.T_string | Value.T_blob -> String.index_from key !pos '\x00' + 1);
+    f !pos
+  done
 
 let encode_prefix schema values =
   let pkey = Schema.pkey schema in
@@ -150,8 +154,7 @@ let decode_key schema key =
 let ts_of_key key =
   let n = String.length key in
   if n < 8 then invalid_arg "ts_of_key: key shorter than 8 bytes";
-  let cur = Binio.cursor ~pos:(n - 8) key in
-  flip_i64 (get_be64 cur)
+  flip_i64 (String.get_int64_be key (n - 8))
 
 let prefix_succ p =
   let n = String.length p in

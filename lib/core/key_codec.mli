@@ -34,11 +34,13 @@ val key_size : Schema.t -> Value.t array -> int
 (** Full primary key of a validated row. *)
 val encode_key : Schema.t -> Value.t array -> string
 
-(** [encode_key_with_prefixes schema row] is the full encoded key paired
-    with every proper column-boundary prefix (1 to k-1 key columns) —
-    the strings inserted into a tablet's Bloom filter so that prefix
-    membership tests work (§3.4.5). *)
-val encode_key_with_prefixes : Schema.t -> Value.t array -> string * string list
+(** [iter_prefix_lengths schema key f] calls [f n] for the byte length
+    [n] of every proper column-boundary prefix (1 to k-1 key columns) of
+    the full encoded [key], shortest first. Those prefixes, with the key
+    itself, are what a tablet's Bloom filter holds so that prefix
+    membership tests work (§3.4.5).
+    @raise Not_found if a string column of [key] is unterminated. *)
+val iter_prefix_lengths : Schema.t -> string -> (int -> unit) -> unit
 
 (** [encode_prefix schema vs] encodes the first [List.length vs] key
     columns. @raise Schema.Invalid if the values do not match the leading

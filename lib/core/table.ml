@@ -416,6 +416,20 @@ let freeze_locked t mt =
   if not (List.exists (fun m -> Memtable.id m = Memtable.id mt) t.frozen) then
     t.frozen <- t.frozen @ [ mt ]
 
+let meta_of_summary ~id ~file (s : Tablet.summary) =
+  Descriptor.
+    {
+      id;
+      file;
+      min_ts = s.Tablet.min_ts;
+      max_ts = s.Tablet.max_ts;
+      min_key = s.Tablet.min_key;
+      max_key = s.Tablet.max_key;
+      row_count = s.Tablet.row_count;
+      size = s.Tablet.size;
+      columnar = s.Tablet.columnar;
+    }
+
 (* Write one memtable out as a tablet file; no descriptor update yet.
    Runs without the state lock: frozen memtables are immutable. *)
 let write_memtable t mt =
@@ -438,9 +452,7 @@ let write_memtable t mt =
         match Avl.next it with
         | None -> ()
         | Some (key, row) ->
-            let _, prefixes = Key_codec.encode_key_with_prefixes schema row in
-            Tablet.add_enc writer ~key ~key_prefixes:prefixes
-              ~ts:(Key_codec.ts_of_key key)
+            Tablet.add_enc writer ~key ~ts:(Key_codec.ts_of_key key)
               ~value_size:(Row_codec.value_size schema row)
               ~encode:(fun buf -> Row_codec.encode_value_into buf schema row);
             go ()
@@ -451,18 +463,7 @@ let write_memtable t mt =
       Tablet.abandon writer;
       raise e
   in
-  Descriptor.
-    {
-      id;
-      file;
-      min_ts = summary.Tablet.min_ts;
-      max_ts = summary.Tablet.max_ts;
-      min_key = summary.Tablet.min_key;
-      max_key = summary.Tablet.max_key;
-      row_count = summary.Tablet.row_count;
-      size = summary.Tablet.size;
-      columnar = summary.Tablet.columnar;
-    }
+  meta_of_summary ~id ~file summary
 
 (* Flush [mt] and its dependency closure as one atomic descriptor
    update (§3.4.3). Caller holds [writer_lock]. *)
@@ -936,8 +937,8 @@ let open_scan ?projection ?counters t ~(compiled : Query.compiled) ~ts_min
           (fun dt ->
             let r = get_reader_locked t dt in
             ( dt.meta.Descriptor.id,
-              Tablet.iter r ~asc ~lo:compiled.Query.lo ?hi:compiled.Query.hi
-                ?projection ?counters () ))
+              Tablet.iter r ~form:Tablet.Decoded ~asc ~lo:compiled.Query.lo
+                ?hi:compiled.Query.hi ?projection ?counters () ))
           selected
       in
       { sources = mem_sources @ disk_sources;
@@ -1287,7 +1288,8 @@ let query_agg ?(profile = false) t (q : Query.t) ~specs =
               else
                 residue :=
                   ( dt.meta.Descriptor.id,
-                    Tablet.iter r ~asc:true ~lo:compiled.Query.lo
+                    Tablet.iter r ~form:Tablet.Decoded ~asc:true
+                      ~lo:compiled.Query.lo
                       ?hi:compiled.Query.hi ~projection:needed ~counters () )
                   :: !residue
             done;
@@ -1409,7 +1411,9 @@ let latest t prefix_values =
                   then
                     let r = Mutexes.with_lock t.state (fun () -> get_reader_locked t dt) in
                     Some
-                      (dt.meta.Descriptor.id, Tablet.iter r ~asc:false ~lo:prefix ?hi ())
+                      (dt.meta.Descriptor.id,
+                         Tablet.iter r ~form:Tablet.Decoded ~asc:false
+                           ~lo:prefix ?hi ())
                   else None)
             members
         in
@@ -1482,6 +1486,37 @@ let columnar_output t ~now ~max_ts =
   let age = t.config.Config.columnar_age in
   age <> Int64.max_int && Int64.sub now max_ts >= age
 
+(* The write half of a merge or bulk-delete rewrite: copy the encoded
+   rows of [src] (value encodings under [schema]) into new tablet [id],
+   column-major when [max_ts] is old enough. [None] when [src] is empty
+   and nothing was kept. A failure abandons the partial file; the
+   inputs are untouched, so the caller can simply retry later. *)
+let write_rewrite t ~schema ~id ~expected_rows ~max_ts src =
+  let file = Descriptor.tablet_file id in
+  let layout =
+    if columnar_output t ~now:(now t) ~max_ts then Block.Col_major
+    else Block.Row_major
+  in
+  let writer =
+    Tablet.writer t.vfs ~path:(tablet_path t file) ~schema
+      ~block_size:t.config.Config.block_size
+      ~bloom_bits_per_key:t.config.Config.bloom_bits_per_key ~expected_rows
+      ~layout ()
+  in
+  try
+    let add n (key, value) =
+      Tablet.add writer ~key ~ts:(Key_codec.ts_of_key key) ~value;
+      n + 1
+    in
+    if Cursor.fold add 0 src = 0 then begin
+      Tablet.abandon writer;
+      None
+    end
+    else Some (meta_of_summary ~id ~file (Tablet.finish writer))
+  with e ->
+    Tablet.abandon writer;
+    raise e
+
 (* Advance rollover bookkeeping and pick a merge candidate. Must be
    called with [state] held. *)
 let merge_plan_locked t =
@@ -1533,94 +1568,47 @@ let merge_step_unlocked t =
                 plan.Merge_policy.ids
             in
             List.iter (fun dt -> dt.refs <- dt.refs + 1) sources;
-            let readers = List.map (get_reader_locked t) sources in
+            (* Streams are created under the same lock that reads the
+               schema, so their value encodings are under the schema
+               the output tablet is written with. *)
+            let iters =
+              List.map
+                (fun dt ->
+                  ( dt.meta.Descriptor.id,
+                    Tablet.iter (get_reader_locked t dt) ~form:Tablet.Encoded
+                      ~asc:true () ))
+                sources
+            in
             let new_id = t.next_id in
             t.next_id <- t.next_id + 1;
-            Some (sources, readers, new_id, ttl_cutoff_locked t))
+            Some (sources, iters, t.schema, new_id, ttl_cutoff_locked t))
   in
   match plan with
   | None -> false
-  | Some (sources, readers, new_id, cutoff) ->
+  | Some (sources, iters, schema, new_id, cutoff) ->
       let t0, h0, m0 = obs_begin t in
       let ok = ref false in
       Fun.protect
         ~finally:(fun () -> release t sources)
         (fun () ->
-          let schema = Mutexes.with_lock t.state (fun () -> t.schema) in
-          let iters =
-            List.map2
-              (fun dt r -> (dt.meta.Descriptor.id, Tablet.iter r ~asc:true ()))
-              sources readers
-          in
           let scanned = ref 0 in
           let src =
             Cursor.filter_ts ~scanned ?ts_min:cutoff
               (Cursor.merge ~asc:true iters)
           in
-          let file = Descriptor.tablet_file new_id in
           let expected_rows =
             List.fold_left
               (fun acc dt -> acc + dt.meta.Descriptor.row_count)
               0 sources
           in
-          let out_max_ts =
+          let max_ts =
             List.fold_left
               (fun acc dt -> max acc dt.meta.Descriptor.max_ts)
               Int64.min_int sources
           in
-          let layout =
-            if columnar_output t ~now:(now t) ~max_ts:out_max_ts then
-              Block.Col_major
-            else Block.Row_major
-          in
-          let writer =
-            Tablet.writer t.vfs ~path:(tablet_path t file) ~schema
-              ~block_size:t.config.Config.block_size
-              ~bloom_bits_per_key:t.config.Config.bloom_bits_per_key
-              ~expected_rows ~layout ()
-          in
-          let rows = ref 0 in
+          (* [None]: everything in the inputs had expired. *)
           let new_meta =
-            (* Abandon the partial output on any write failure; the
-               sources are untouched, so the merge simply retries later. *)
-            try
-              let rec copy () =
-                match src () with
-                | None -> ()
-                | Some (key, row) ->
-                    incr rows;
-                    let _, prefixes =
-                      Key_codec.encode_key_with_prefixes schema row
-                    in
-                    Tablet.add_row writer ~key ~key_prefixes:prefixes
-                      ~ts:(Key_codec.ts_of_key key) row;
-                    copy ()
-              in
-              copy ();
-              if !rows = 0 then begin
-                (* Everything in the inputs had expired. *)
-                Tablet.abandon writer;
-                None
-              end
-              else begin
-                let s = Tablet.finish writer in
-                Some
-                  Descriptor.
-                    {
-                      id = new_id;
-                      file;
-                      min_ts = s.Tablet.min_ts;
-                      max_ts = s.Tablet.max_ts;
-                      min_key = s.Tablet.min_key;
-                      max_key = s.Tablet.max_key;
-                      row_count = s.Tablet.row_count;
-                      size = s.Tablet.size;
-                      columnar = s.Tablet.columnar;
-                    }
-              end
-            with e ->
-              Tablet.abandon writer;
-              raise e
+            write_rewrite t ~schema ~id:new_id ~expected_rows ~max_ts src
           in
           Mutexes.with_lock t.state (fun () ->
               let n = now t in
@@ -1678,7 +1666,9 @@ let merge_step_unlocked t =
               in
               Stats.note_merge t.stats ~bytes_in ~bytes_out);
           obs_end t ~hist:t.instr.Obs.h_merge ~op:Otrace.Merge ~t0 ~h0 ~m0
-            ~scanned:!scanned ~returned:!rows
+            ~scanned:!scanned
+            ~returned:
+              (match new_meta with None -> 0 | Some m -> m.Descriptor.row_count)
             ~tablets:(List.length sources) ();
           ok := true);
       !ok
@@ -1832,68 +1822,18 @@ let delete_prefix t prefix_values =
                         t.next_id <- t.next_id + 1;
                         (r, t.schema, id))
                   in
-                  let file = Descriptor.tablet_file new_id in
-                  let layout =
-                    if
-                      columnar_output t ~now:(now t)
-                        ~max_ts:m.Descriptor.max_ts
-                    then Block.Col_major
-                    else Block.Row_major
+                  let it = Tablet.iter reader ~form:Tablet.Encoded ~asc:true () in
+                  let rec outside () =
+                    match it () with
+                    | Some (key, _) when in_range key ->
+                        incr deleted;
+                        outside ()
+                    | row -> row
                   in
-                  let writer =
-                    Tablet.writer t.vfs ~path:(tablet_path t file) ~schema
-                      ~block_size:t.config.Config.block_size
-                      ~bloom_bits_per_key:t.config.Config.bloom_bits_per_key
-                      ~expected_rows:m.Descriptor.row_count ~layout ()
-                  in
-                  let it = Tablet.iter reader ~asc:true () in
-                  let kept = ref 0 in
-                  (try
-                     let rec copy () =
-                       match it () with
-                       | None -> ()
-                       | Some (key, row) ->
-                           if in_range key then incr deleted
-                           else begin
-                             incr kept;
-                             let _, prefixes =
-                               Key_codec.encode_key_with_prefixes schema row
-                             in
-                             Tablet.add_row writer ~key ~key_prefixes:prefixes
-                               ~ts:(Key_codec.ts_of_key key) row
-                           end;
-                           copy ()
-                     in
-                     copy ()
-                   with e ->
-                     Tablet.abandon writer;
-                     raise e);
-                  if !kept = 0 then begin
-                    Tablet.abandon writer;
-                    (dt, None)
-                  end
-                  else begin
-                    let s =
-                      try Tablet.finish writer
-                      with e ->
-                        Tablet.abandon writer;
-                        raise e
-                    in
-                    ( dt,
-                      Some
-                        Descriptor.
-                          {
-                            id = new_id;
-                            file;
-                            min_ts = s.Tablet.min_ts;
-                            max_ts = s.Tablet.max_ts;
-                            min_key = s.Tablet.min_key;
-                            max_key = s.Tablet.max_key;
-                            row_count = s.Tablet.row_count;
-                            size = s.Tablet.size;
-                            columnar = s.Tablet.columnar;
-                          } )
-                  end
+                  ( dt,
+                    write_rewrite t ~schema ~id:new_id
+                      ~expected_rows:m.Descriptor.row_count
+                      ~max_ts:m.Descriptor.max_ts outside )
                 end)
                 victims
             with e ->

@@ -14,49 +14,47 @@ let trailer_len = 24
 
 let frame_header_len = 13 (* u8 codec + u32 comp_len + u32 raw_len + i32 crc *)
 
+let frame ~codec ~raw_len payload =
+  let n = String.length payload in
+  let b = Bytes.create (frame_header_len + n) in
+  Bytes.set_uint8 b 0 codec;
+  Bytes.set_int32_le b 1 (Int32.of_int n);
+  Bytes.set_int32_le b 5 (Int32.of_int raw_len);
+  Bytes.set_int32_le b 9 (Crc32c.string payload);
+  Bytes.blit_string payload 0 b frame_header_len n;
+  Bytes.unsafe_to_string b
+
 let encode_frame raw =
-  let compressed = Lt_lz.Lz.compress raw in
-  let codec, payload =
-    if String.length compressed < String.length raw then (1, compressed)
-    else (0, raw)
-  in
-  let buf = Buffer.create (frame_header_len + String.length payload) in
-  Binio.put_u8 buf codec;
-  Binio.put_u32 buf (String.length payload);
-  Binio.put_u32 buf (String.length raw);
-  Binio.put_i32 buf (Crc32c.string payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  match Lt_lz.Lz.compress_if_smaller raw with
+  | Some compressed -> frame ~codec:1 ~raw_len:(String.length raw) compressed
+  | None -> frame ~codec:0 ~raw_len:(String.length raw) raw
 
 (* Columnar blocks carry per-column sections that are already LZ'd where
    profitable; wrapping them in a stored frame keeps the CRC without
    burning merge CPU on a compression pass that cannot win. *)
-let encode_frame_store raw =
-  let buf = Buffer.create (frame_header_len + String.length raw) in
-  Binio.put_u8 buf 0;
-  Binio.put_u32 buf (String.length raw);
-  Binio.put_u32 buf (String.length raw);
-  Binio.put_i32 buf (Crc32c.string raw);
-  Buffer.add_string buf raw;
-  Buffer.contents buf
+let encode_frame_store raw = frame ~codec:0 ~raw_len:(String.length raw) raw
 
+(* The checked raw bytes of a frame, as [(s, pos)]: they are [s] from
+   [pos] on. A stored frame is its own raw bytes past the header, so it
+   is handed back in place rather than copied out. *)
 let decode_frame frame =
   let cur = Binio.cursor frame in
   let codec = Binio.get_u8 cur in
   let comp_len = Binio.get_u32 cur in
   let raw_len = Binio.get_u32 cur in
   let crc = Binio.get_i32 cur in
-  let payload = Binio.get_bytes cur comp_len in
+  Binio.skip cur comp_len;
   Binio.expect_end cur;
-  if Crc32c.string payload <> crc then
+  if Crc32c.string ~off:frame_header_len ~len:comp_len frame <> crc then
     raise (Binio.Corrupt "tablet frame: checksum mismatch");
   match codec with
   | 0 ->
-      if String.length payload <> raw_len then
+      if comp_len <> raw_len then
         raise (Binio.Corrupt "tablet frame: raw length mismatch");
-      payload
+      (frame, frame_header_len)
   | 1 -> (
-      try Lt_lz.Lz.decompress ~raw_len payload
+      let payload = String.sub frame frame_header_len comp_len in
+      try (Lt_lz.Lz.decompress ~raw_len payload, 0)
       with Lt_lz.Lz.Corrupt msg -> raise (Binio.Corrupt ("tablet frame: " ^ msg)))
   | n -> raise (Binio.Corrupt (Printf.sprintf "tablet frame: unknown codec %d" n))
 
@@ -152,8 +150,7 @@ let encode_footer f =
       Lt_bloom.Bloom.encode buf bloom);
   Buffer.contents buf
 
-let decode_footer raw =
-  let cur = Binio.cursor raw in
+let decode_footer cur =
   let schema = Schema.decode cur in
   let f_row_count = Binio.get_varint cur in
   let f_min_ts = Binio.get_i64 cur in
@@ -314,41 +311,47 @@ let bloom_add w key =
         end
   end
 
-let note_row w ~key ~key_prefixes ~ts =
+(* The Bloom filter gets the full key, then each proper column-boundary
+   prefix — cut from the key bytes themselves, since an encoded key is
+   its columns' encodings laid end to end. *)
+let note_row w ~key ~ts =
   (match w.w_min_key with None -> w.w_min_key <- Some key | Some _ -> ());
   w.w_max_key <- key;
   w.w_rows <- w.w_rows + 1;
   if ts < w.w_min_ts then w.w_min_ts <- ts;
   if ts > w.w_max_ts then w.w_max_ts <- ts;
-  bloom_add w key;
-  if w.bloom_bits_per_key > 0 then List.iter (bloom_add w) key_prefixes
+  if w.bloom_bits_per_key > 0 then begin
+    bloom_add w key;
+    Key_codec.iter_prefix_lengths w.w_schema key (fun len ->
+        bloom_add w (String.sub key 0 len))
+  end
 
-let add_enc w ~key ~key_prefixes ~ts ~value_size ~encode =
+let add_enc w ~key ~ts ~value_size ~encode =
   let builder =
     match w.w_builder with
     | B_row b -> b
     | B_col _ -> invalid_arg "Tablet.add_enc: writer is columnar"
   in
-  note_row w ~key ~key_prefixes ~ts;
+  note_row w ~key ~ts;
   Block.add_enc builder ~key ~value_size ~encode;
   if Block.raw_size builder >= w.block_size then flush_block w
 
-let add w ~key ~key_prefixes ~ts ~value =
-  add_enc w ~key ~key_prefixes ~ts ~value_size:(String.length value)
-    ~encode:(fun buf -> Buffer.add_string buf value)
-
-let add_row w ~key ~key_prefixes ~ts row =
+let add_row w ~key ~ts row =
   match w.w_builder with
-  | B_row builder ->
-      note_row w ~key ~key_prefixes ~ts;
-      Block.add_enc builder ~key
-        ~value_size:(Row_codec.value_size w.w_schema row)
-        ~encode:(fun buf -> Row_codec.encode_value_into buf w.w_schema row);
-      if Block.raw_size builder >= w.block_size then flush_block w
+  | B_row _ ->
+      add_enc w ~key ~ts ~value_size:(Row_codec.value_size w.w_schema row)
+        ~encode:(fun buf -> Row_codec.encode_value_into buf w.w_schema row)
   | B_col builder ->
-      note_row w ~key ~key_prefixes ~ts;
+      note_row w ~key ~ts;
       Block.col_add builder ~key row;
       if Block.col_raw_size builder >= w.block_size then flush_block w
+
+let add w ~key ~ts ~value =
+  match w.w_builder with
+  | B_row _ ->
+      add_enc w ~key ~ts ~value_size:(String.length value)
+        ~encode:(fun buf -> Buffer.add_string buf value)
+  | B_col _ -> add_row w ~key ~ts (Row_codec.decode w.w_schema ~key ~value)
 
 let finish w =
   if w.w_rows = 0 then invalid_arg "Tablet.finish: empty tablet";
@@ -437,7 +440,10 @@ let open_reader ?cache ?(obs = Obs.noop) vfs ~path ~into =
     if footer_off < 0 || footer_len <= 0 || footer_off + footer_len > size then
       raise (Binio.Corrupt "tablet: bad trailer geometry");
     let footer_frame = Vfs.pread vfs file ~off:footer_off ~len:footer_len in
-    let footer = decode_footer (decode_frame footer_frame) in
+    let footer =
+      let raw, pos = decode_frame footer_frame in
+      decode_footer (Binio.cursor ~pos raw)
+    in
     let r_cache = Option.map (fun c -> (c, Bcache.file_id c)) cache in
     {
       r_vfs = vfs;
@@ -506,10 +512,10 @@ let read_block r i =
     (Int64.sub (Obs.now_us r.r_obs) t1);
   raw
 
-let decode_block r i raw =
+let decode_block r i (raw, pos) =
   match r.footer.index.(i).e_layout with
-  | Block.Row_major -> Block.decode raw
-  | Block.Col_major -> Block.decode_columnar r.footer.schema raw
+  | Block.Row_major -> Block.decode ~pos raw
+  | Block.Col_major -> Block.decode_columnar ~pos r.footer.schema raw
 
 (* The cache sits above the VFS and below the block decode: a hit skips
    the (modeled) disk read, the checksum, and the decompression. Weights
@@ -524,9 +530,9 @@ let load_block r i =
       match Bcache.find c ~file:fid ~block:i with
       | Some b -> b
       | None ->
-          let raw = read_block r i in
+          let ((data, pos) as raw) = read_block r i in
           let b = decode_block r i raw in
-          Bcache.insert c ~file:fid ~block:i ~bytes:(String.length raw) b;
+          Bcache.insert c ~file:fid ~block:i ~bytes:(String.length data - pos) b;
           b)
 
 (* First block that could contain a key >= k: binary search on last keys. *)
@@ -553,9 +559,9 @@ let mem r key =
 
 (* Decode a row straight out of the block's backing bytes: no per-row
    value string, just a (offset, length) window into the block data. *)
-let translate_at r b i ~key =
+let translate_at r ~into b i ~key =
   let off, len = Block.value_span b i in
-  Row_codec.decode_translated_slice ~from:r.footer.schema ~into:r.target ~key
+  Row_codec.decode_translated_slice ~from:r.footer.schema ~into ~key
     ~data:(Block.data b) ~off ~len
 
 type scan_counters = {
@@ -586,32 +592,50 @@ let stored_projection r projection =
    Unprojected columns carry their defaults — invisible to projected
    reads, and identical to the row layout's values for untouched columns
    since defaults only change by widening. *)
-let materialize r ?counters ~projection b =
+let materialize r ~into ?counters ~projection b =
   let cols = stored_projection r projection in
   let rows, decoded = Block.columnar_rows b r.footer.schema ?cols () in
   bump counters (fun c -> c.sc_cols_decoded) decoded;
-  if Schema.equal r.footer.schema r.target then rows
-  else
-    Array.map (Schema.translate_row ~from:r.footer.schema ~into:r.target) rows
+  if Schema.equal r.footer.schema into then rows
+  else Array.map (Schema.translate_row ~from:r.footer.schema ~into) rows
+
+type _ form = Decoded : Value.t array form | Encoded : string form
 
 type loaded = { lb : Block.t; lrows : Value.t array array option }
 
-let iter r ~asc ?lo ?hi ?projection ?counters () =
+(* One row of a loaded block in the requested form, under [into]. Only a
+   row-major block already stored under [into] ([verbatim]) has value
+   bytes that can be copied as they are; every other encoded row is
+   decoded, translated and re-encoded. *)
+let row_at : type a. reader -> a form -> into:Schema.t -> verbatim:bool ->
+    loaded -> int -> key:string -> a =
+ fun r form ~into ~verbatim l i ~key ->
+  match (form, l.lrows) with
+  | Decoded, Some rows -> rows.(i)
+  | Decoded, None -> translate_at r ~into l.lb i ~key
+  | Encoded, Some rows -> Row_codec.encode_value into rows.(i)
+  | Encoded, None when verbatim ->
+      let off, len = Block.value_span l.lb i in
+      String.sub (Block.data l.lb) off len
+  | Encoded, None ->
+      Row_codec.encode_value into (translate_at r ~into l.lb i ~key)
+
+let iter r ~form ~asc ?lo ?hi ?projection ?counters () =
   let nblocks = block_count r in
+  (* The target is fixed for the whole stream, even if a schema change
+     retargets the reader meanwhile. *)
+  let into = r.target in
+  let verbatim = Schema.equal r.footer.schema into in
   let load bi =
     let b = load_block r bi in
     let lrows =
       match Block.layout b with
       | Block.Row_major -> None
-      | Block.Col_major -> Some (materialize r ?counters ~projection b)
+      | Block.Col_major -> Some (materialize r ~into ?counters ~projection b)
     in
     { lb = b; lrows }
   in
-  let row_at l i ~key =
-    match l.lrows with
-    | Some rows -> rows.(i)
-    | None -> translate_at r l.lb i ~key
-  in
+  let row_at l i ~key = row_at r form ~into ~verbatim l i ~key in
   let in_lo k = match lo with None -> true | Some b -> String.compare k b >= 0 in
   let in_hi k = match hi with None -> true | Some b -> String.compare k b < 0 in
   if asc then begin
@@ -829,7 +853,7 @@ let fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs () =
                 if not (in_hi key) then stop := true
                 else begin
                   if in_ts (Key_codec.ts_of_key key) then
-                    feed_row (translate_at r b !j ~key);
+                    feed_row (translate_at r ~into:r.target b !j ~key);
                   incr j
                 end
               done

@@ -55,28 +55,24 @@ val writer :
   unit ->
   writer
 
-(** Add a row; keys must arrive in strictly ascending order.
-    [key_prefixes] are the column-boundary prefixes for the Bloom filter
-    (ignored when the filter is off). *)
-val add :
-  writer -> key:string -> key_prefixes:string list -> ts:int64 -> value:string -> unit
+(** Add a row by its encoded key and value encoding (under the writer's
+    schema); keys must arrive in strictly ascending order. The Bloom
+    filter's column-boundary prefixes are cut from [key]. A row-major
+    writer copies [value] into the block as it is; a column-major one
+    decodes it. This is how merges and bulk-delete rewrites copy rows. *)
+val add : writer -> key:string -> ts:int64 -> value:string -> unit
 
-(** {!add} without the value string: [encode] appends the row's value
-    encoding (exactly [value_size] bytes) straight into the current
-    block's payload buffer. The flush and merge paths use this so a
-    memtable row goes from {!Value.t array} to block bytes with no
-    intermediate string. *)
+(** {!add} without the value string, row-major writers only: [encode]
+    appends the row's value encoding (exactly [value_size] bytes)
+    straight into the current block's payload buffer. The flush path
+    uses this so a memtable row goes from {!Value.t array} to block
+    bytes with no intermediate string. *)
 val add_enc :
-  writer -> key:string -> key_prefixes:string list -> ts:int64 ->
-  value_size:int -> encode:(Buffer.t -> unit) -> unit
+  writer -> key:string -> ts:int64 -> value_size:int ->
+  encode:(Buffer.t -> unit) -> unit
 
-(** Add a full decoded row (the writer's schema). Works for both
-    layouts, so the merge and bulk-delete rewrite loops — which hold
-    decoded rows anyway — need not care which layout the output tablet
-    uses. {!add_enc}/{!add} remain the row-major flush hot path. *)
-val add_row :
-  writer -> key:string -> key_prefixes:string list -> ts:int64 ->
-  Value.t array -> unit
+(** Add a full decoded row (the writer's schema), either layout. *)
+val add_row : writer -> key:string -> ts:int64 -> Value.t array -> unit
 
 (** Flush remaining rows, write footer and trailer, [fsync], close.
     @raise Invalid_argument if no rows were added — empty tablets are
@@ -135,15 +131,24 @@ type scan_counters = {
 
 val fresh_counters : unit -> scan_counters
 
-(** [iter r ~asc ?lo ?hi ?projection ?counters ()] streams rows with
-    encoded keys in [\[lo, hi)], ascending or descending; rows are
-    translated to the target schema. [projection] (target-schema column
-    indices) lets columnar blocks decode only the named columns —
-    unprojected non-key cells are unspecified (defaults); row-major
-    blocks ignore it. [counters] receives per-block pushdown tallies.
-    The returned thunk is single-consumer. *)
+(** The form {!iter} yields rows in: decoded cells, or the value
+    encoding (non-key columns, as {!Row_codec.encode_value} writes them)
+    under the target schema. Row-major blocks stored under the target
+    schema hand out their value bytes verbatim; other blocks decode and
+    re-encode. *)
+type _ form = Decoded : Value.t array form | Encoded : string form
+
+(** [iter r ~form ~asc ?lo ?hi ?projection ?counters ()] streams rows
+    with encoded keys in [\[lo, hi)], ascending or descending, in [form];
+    rows are translated to the target schema as it is when the stream is
+    created. [projection] (target-schema column indices) lets columnar
+    blocks decode only the named columns — unprojected non-key cells are
+    unspecified (defaults); row-major blocks ignore it. [counters]
+    receives per-block pushdown tallies. The returned thunk is
+    single-consumer. *)
 val iter :
   reader ->
+  form:'a form ->
   asc:bool ->
   ?lo:string ->
   ?hi:string ->
@@ -151,7 +156,7 @@ val iter :
   ?counters:scan_counters ->
   unit ->
   unit ->
-  (string * Value.t array) option
+  (string * 'a) option
 
 (** [fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs ()]
     folds every row with key in [\[lo, hi)] and timestamp in

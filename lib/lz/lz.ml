@@ -13,95 +13,148 @@ let hash_log = 13
 
 let hash_size = 1 lsl hash_log
 
-(* Multiplicative hash of the 4 bytes at [i]. *)
-let hash4 s i =
-  let w =
-    Char.code (String.unsafe_get s i)
-    lor (Char.code (String.unsafe_get s (i + 1)) lsl 8)
-    lor (Char.code (String.unsafe_get s (i + 2)) lsl 16)
-    lor (Char.code (String.unsafe_get s (i + 3)) lsl 24)
-  in
-  (w * 2654435761) lsr (32 - hash_log) land (hash_size - 1)
+(* Unchecked word loads; every caller stays inside the input. The hash
+   reads its 4 bytes little-endian on any host, so the output is the
+   same everywhere; match tests only compare words for equality.
+   [big_endian ()] is a compile-time constant. *)
+external get32 : string -> int -> int32 = "%caml_string_get32u"
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+external big_endian : unit -> bool = "%big_endian"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let load32 s i =
+  let w = get32 s i in
+  Int32.to_int (if big_endian () then bswap32 w else w) land 0xffffffff
+
+(* Multiplicative hash of a 4-byte word. *)
+let hash w = (w * 2654435761) lsr (32 - hash_log) land (hash_size - 1)
 
 let max_compressed_len n = n + (n / 255) + 16
 
-(* Append a literal-length / match-length pair in token format. *)
-let put_length b extra =
-  let rec go n =
-    if n >= 255 then begin
-      Buffer.add_char b '\xff';
-      go (n - 255)
-    end
-    else Buffer.add_char b (Char.chr n)
-  in
-  go extra
+(* The writers below fill [out] (sized by [max_compressed_len]) from
+   position [op] and return the position after what they wrote. *)
 
-let emit_sequence b src ~lit_start ~lit_len ~match_len ~offset =
+(* A literal-length / match-length extension in token format. *)
+let put_length out op extra =
+  let op = ref op and n = ref extra in
+  while !n >= 255 do
+    Bytes.set out !op '\xff';
+    incr op;
+    n := !n - 255
+  done;
+  Bytes.set out !op (Char.unsafe_chr !n);
+  !op + 1
+
+(* One sequence: [lit_len] literals from [lit_start], then a match of
+   [match_len] bytes at [offset] back ([match_len = 0]: literals only,
+   the final sequence). *)
+let emit_sequence out op src ~lit_start ~lit_len ~match_len ~offset =
   let lit_token = if lit_len >= 15 then 15 else lit_len in
   let match_token =
-    match match_len with
-    | None -> 0
-    | Some ml -> if ml - min_match >= 15 then 15 else ml - min_match
+    if match_len = 0 then 0
+    else if match_len - min_match >= 15 then 15
+    else match_len - min_match
   in
-  Buffer.add_char b (Char.chr ((lit_token lsl 4) lor match_token));
-  if lit_len >= 15 then put_length b (lit_len - 15);
-  Buffer.add_substring b src lit_start lit_len;
-  match match_len with
-  | None -> ()
-  | Some ml ->
-      Buffer.add_char b (Char.chr (offset land 0xff));
-      Buffer.add_char b (Char.chr ((offset lsr 8) land 0xff));
-      if ml - min_match >= 15 then put_length b (ml - min_match - 15)
-
-let compress src =
-  let n = String.length src in
-  if n = 0 then ""
-  else if n < mf_limit + min_match then begin
-    (* Too short for any match: one literal-only sequence. *)
-    let b = Buffer.create (n + 3) in
-    emit_sequence b src ~lit_start:0 ~lit_len:n ~match_len:None ~offset:0;
-    Buffer.contents b
-  end
+  Bytes.set out op (Char.unsafe_chr ((lit_token lsl 4) lor match_token));
+  let op =
+    if lit_len >= 15 then put_length out (op + 1) (lit_len - 15) else op + 1
+  in
+  Bytes.blit_string src lit_start out op lit_len;
+  let op = op + lit_len in
+  if match_len = 0 then op
   else begin
-    let b = Buffer.create (n / 2) in
-    let table = Array.make hash_size (-1) in
+    Bytes.set out op (Char.unsafe_chr (offset land 0xff));
+    Bytes.set out (op + 1) (Char.unsafe_chr ((offset lsr 8) land 0xff));
+    if match_len - min_match >= 15 then
+      put_length out (op + 2) (match_len - min_match - 15)
+    else op + 2
+  end
+
+(* Scratch for one compression: the hash table and an output buffer of
+   at least [max_compressed_len n] bytes. One set is kept between calls,
+   so a steady stream of block compressions allocates only results; a
+   call that finds it taken (another thread or domain is compressing)
+   makes its own. Outputs over 1 MB are not kept. *)
+type scratch = { table : int array; out : Bytes.t }
+
+let spare : scratch option Atomic.t = Atomic.make None
+
+let take_scratch n =
+  match Atomic.exchange spare None with
+  | Some s when Bytes.length s.out >= max_compressed_len n ->
+      Array.fill s.table 0 hash_size (-1);
+      s
+  | _ ->
+      { table = Array.make hash_size (-1);
+        out = Bytes.create (max_compressed_len n) }
+
+let give_scratch s =
+  if Bytes.length s.out <= 1 lsl 20 then Atomic.set spare (Some s)
+
+(* Compress nonempty [src] into [s.out]; returns the output length. *)
+let compress_into { table; out } src =
+  let n = String.length src in
+  if n < mf_limit + min_match then
+    (* Too short for any match: one literal-only sequence. *)
+    emit_sequence out 0 src ~lit_start:0 ~lit_len:n ~match_len:0 ~offset:0
+  else begin
     let match_limit = n - mf_limit in
+    let op = ref 0 in
     let anchor = ref 0 in
     let i = ref 0 in
     while !i < match_limit do
-      let h = hash4 src !i in
-      let cand = table.(h) in
-      table.(h) <- !i;
-      if
-        cand >= 0
-        && !i - cand <= 0xffff
-        && String.unsafe_get src cand = String.unsafe_get src !i
-        && String.unsafe_get src (cand + 1) = String.unsafe_get src (!i + 1)
-        && String.unsafe_get src (cand + 2) = String.unsafe_get src (!i + 2)
-        && String.unsafe_get src (cand + 3) = String.unsafe_get src (!i + 3)
-      then begin
-        (* Extend the match forward, staying clear of the tail. *)
+      let w = load32 src !i in
+      let h = hash w in
+      let cand = Array.unsafe_get table h in
+      Array.unsafe_set table h !i;
+      if cand >= 0 && !i - cand <= 0xffff && load32 src cand = w then begin
+        (* Extend the match forward, staying clear of the tail: eight
+           bytes a step while a whole word fits, then byte by byte to
+           the first difference. *)
         let limit = n - 5 in
         let ml = ref min_match in
+        while
+          !i + !ml + 8 <= limit && get64 src (cand + !ml) = get64 src (!i + !ml)
+        do
+          ml := !ml + 8
+        done;
         while
           !i + !ml < limit
           && String.unsafe_get src (cand + !ml) = String.unsafe_get src (!i + !ml)
         do
           incr ml
         done;
-        emit_sequence b src ~lit_start:!anchor ~lit_len:(!i - !anchor)
-          ~match_len:(Some !ml) ~offset:(!i - cand);
+        op :=
+          emit_sequence out !op src ~lit_start:!anchor ~lit_len:(!i - !anchor)
+            ~match_len:!ml ~offset:(!i - cand);
         i := !i + !ml;
         anchor := !i;
         (* Seed the table inside the match so nearby repeats are found. *)
-        if !i < match_limit then table.(hash4 src (!i - 2)) <- !i - 2
+        if !i < match_limit then table.(hash (load32 src (!i - 2))) <- !i - 2
       end
       else incr i
     done;
-    emit_sequence b src ~lit_start:!anchor ~lit_len:(n - !anchor)
-      ~match_len:None ~offset:0;
-    Buffer.contents b
+    emit_sequence out !op src ~lit_start:!anchor ~lit_len:(n - !anchor)
+      ~match_len:0 ~offset:0
   end
+
+(* [keep len] decides from the output length whether to copy it out. *)
+let with_output src keep =
+  let n = String.length src in
+  if n = 0 then keep 0 Bytes.empty
+  else begin
+    let s = take_scratch n in
+    let len = compress_into s src in
+    let r = keep len s.out in
+    give_scratch s;
+    r
+  end
+
+let compress src = with_output src (fun len out -> Bytes.sub_string out 0 len)
+
+let compress_if_smaller src =
+  with_output src (fun len out ->
+      if len < String.length src then Some (Bytes.sub_string out 0 len) else None)
 
 let decompress ~raw_len src =
   if raw_len < 0 then corrupt "negative raw length %d" raw_len;

@@ -21,6 +21,11 @@ exception Corrupt of string
     string compresses to the empty string. *)
 val compress : string -> string
 
+(** [compress_if_smaller s] is [Some (compress s)] when that is shorter
+    than [s], else [None] — what a caller that stores incompressible data
+    raw needs, without copying out an output it would throw away. *)
+val compress_if_smaller : string -> string option
+
 (** [decompress ~raw_len s] inflates [s], which must decode to exactly
     [raw_len] bytes.
     @raise Corrupt if [s] is not a valid block or decodes to a different

@@ -799,7 +799,15 @@ let read_response cur =
 
 (* ---- Socket framing ------------------------------------------------------ *)
 
+(* A write to a socket whose peer has gone must fail with EPIPE, which
+   both loops already treat as a lost connection, not kill the whole
+   process with SIGPIPE (the default disposition) — a router would die
+   with the first backend it outlives. *)
+let ignore_sigpipe =
+  lazy (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
+
 let write_all_bytes fd b =
+  Lazy.force ignore_sigpipe;
   let len = Bytes.length b in
   let off = ref 0 in
   while !off < len do

@@ -25,7 +25,8 @@ type t = {
   metrics_fd : Unix.file_descr option;
   metrics_bound_port : int option;
   running : bool Atomic.t;
-  mutable threads : (Thread.t * Unix.file_descr) list;
+  mutable conns : Unix.file_descr list;  (** sockets of open connections *)
+  mutable threads : Thread.t list;  (** connection threads, for [stop] *)
   accept_thread : Thread.t option ref;
   maint_thread : Thread.t option ref;
   metrics_thread : Thread.t option ref;
@@ -190,7 +191,18 @@ let db_backend db =
     b_on_stop = (fun () -> Db.flush_all db);
   }
 
+(* A connection leaves [conns] and closes its socket in one step under
+   [t.mutex]. [stop] shuts down the sockets it finds in [conns] under the
+   same lock, so it only ever touches a descriptor that is still a live
+   connection's: a closed one's number may already belong to another
+   socket of the process (a client, another server). *)
+let release_conn t fd =
+  Lt_util.Mutexes.with_lock t.mutex (fun () ->
+      t.conns <- List.filter (fun fd' -> fd' <> fd) t.conns;
+      try Unix.close fd with Unix.Unix_error _ -> ())
+
 let client_loop t fd =
+  Fun.protect ~finally:(fun () -> release_conn t fd) @@ fun () ->
   let obs = t.backend.b_obs in
   let finished = ref false in
   while Atomic.get t.running && not !finished do
@@ -230,8 +242,7 @@ let client_loop t fd =
     | exception Protocol.Protocol_error msg ->
         Log.warn (fun m -> m "malformed frame: %s" msg);
         finished := true
-  done;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  done
 
 let accept_loop t =
   (* Poll with a timeout rather than blocking in accept: a thread stuck
@@ -246,8 +257,11 @@ let accept_loop t =
             (* Mirror of the client side: responses are single gathered
                writes, so Nagle only adds latency. *)
             Unix.setsockopt fd Unix.TCP_NODELAY true;
-            Lt_util.Mutexes.with_lock t.mutex (fun () ->
-                t.threads <- (Thread.create (client_loop t) fd, fd) :: t.threads)
+            (* Registered before its thread starts, so the thread's
+               [release_conn] always finds the entry. *)
+            Lt_util.Mutexes.with_lock t.mutex (fun () -> t.conns <- fd :: t.conns);
+            let th = Thread.create (client_loop t) fd in
+            Lt_util.Mutexes.with_lock t.mutex (fun () -> t.threads <- th :: t.threads)
         | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
@@ -366,6 +380,7 @@ let start_custom ?(maintenance_period_s = 1.0) ?metrics_port ~backend ~port ()
       metrics_fd = Option.map fst metrics;
       metrics_bound_port = Option.map snd metrics;
       running = Atomic.make true;
+      conns = [];
       threads = [];
       accept_thread = ref None;
       maint_thread = ref None;
@@ -420,18 +435,19 @@ let stop t =
     (match !(t.accept_thread) with Some th -> join_unless_self th | None -> ());
     (match !(t.maint_thread) with Some th -> join_unless_self th | None -> ());
     (match !(t.metrics_thread) with Some th -> join_unless_self th | None -> ());
+    (* Unblock handlers waiting in recv, then join them. *)
     let threads =
       Lt_util.Mutexes.with_lock t.mutex (fun () ->
+          List.iter
+            (fun fd ->
+              try Unix.shutdown fd Unix.SHUTDOWN_ALL
+              with Unix.Unix_error _ -> ())
+            t.conns;
           let ths = t.threads in
           t.threads <- [];
           ths)
     in
-    (* Unblock handlers waiting in recv, then join them. *)
-    List.iter
-      (fun (_, fd) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      threads;
-    List.iter (fun (th, _) -> join_unless_self th) threads;
+    List.iter join_unless_self threads;
     t.backend.b_on_stop ();
     Lt_util.Mutexes.with_lock t.mutex (fun () -> Condition.broadcast t.stopped)
   end

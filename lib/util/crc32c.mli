@@ -1,5 +1,5 @@
 (** CRC-32C (Castagnoli), the checksum used to protect tablet blocks and
-    footers on disk. Table-driven, byte-at-a-time implementation. *)
+    footers on disk. Table-driven, eight bytes a step (slicing-by-8). *)
 
 type t = int32
 

@@ -3,6 +3,7 @@ let () =
     [
       ("util", Test_util.suite);
       ("lz", Test_lz.suite);
+      ("kernels", Test_kernels.suite);
       ("bloom", Test_bloom.suite);
       ("hll", Test_hll.suite);
       ("vfs", Test_vfs.suite);
@@ -30,4 +31,5 @@ let () =
       ("columnar", Test_columnar.suite);
       ("model", Test_model.suite);
       ("lint", Test_lint.suite);
+      ("golden", Test_golden.suite);
     ]

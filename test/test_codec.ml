@@ -226,9 +226,10 @@ let test_full_key_and_prefix () =
   let decoded = Key_codec.decode_key s key in
   Alcotest.(check bool) "decode key" true
     (decoded = [| Value.Int64 5L; Value.Int64 77L; Value.Timestamp 123456L |]);
-  let full, prefixes = Key_codec.encode_key_with_prefixes s row in
-  Alcotest.(check string) "with_prefixes full" key full;
-  Alcotest.(check bool) "proper prefixes" true (prefixes = [ p1; p2 ]);
+  let prefixes = ref [] in
+  Key_codec.iter_prefix_lengths s key (fun n ->
+      prefixes := String.sub key 0 n :: !prefixes);
+  Alcotest.(check bool) "proper prefixes" true (List.rev !prefixes = [ p1; p2 ]);
   (* Type errors are rejected. *)
   match Key_codec.encode_prefix s [ Value.String "oops" ] with
   | (_ : string) -> Alcotest.fail "bad prefix type accepted"
@@ -270,6 +271,51 @@ let prop_prefix_succ_bounds =
       | None -> true
       | Some succ ->
           String.compare full succ < 0 && String.compare p succ < 0)
+
+(* Bloom prefixes are cut from the key bytes; they must equal encoding
+   the leading key columns one at a time, for every key type — strings
+   and blobs here are mostly the escaped 0x00/0x01 bytes. *)
+let key_case_gen =
+  let open QCheck.Gen in
+  let tricky = string_size ~gen:(oneofl [ '\x00'; '\x01'; '\x02'; 'a'; '\xff' ]) (int_bound 6) in
+  let typed =
+    oneof
+      [
+        map (fun i -> (Value.T_int32, Value.Int32 (Int32.of_int i))) int;
+        map (fun i -> (Value.T_int64, Value.Int64 (Int64.of_int i))) int;
+        map (fun f -> (Value.T_double, Value.Double f)) float;
+        map (fun i -> (Value.T_timestamp, Value.Timestamp (Int64.of_int i))) int;
+        map (fun s -> (Value.T_string, Value.String s)) tricky;
+        map (fun s -> (Value.T_blob, Value.Blob s)) tricky;
+      ]
+  in
+  pair (list_size (int_range 0 4) typed) int
+
+let prop_prefixes_from_key_bytes =
+  QCheck.Test.make ~name:"key-byte prefixes equal per-column prefixes" ~count:1000
+    (QCheck.make key_case_gen) (fun (lead, ts) ->
+      let cells = lead @ [ (Value.T_timestamp, Value.Timestamp (Int64.of_int ts)) ] in
+      let columns =
+        List.mapi
+          (fun i (ctype, v) ->
+            let name = if i = List.length lead then "ts" else Printf.sprintf "k%d" i in
+            { Schema.name = name; ctype; default = v })
+          cells
+      in
+      let s =
+        Schema.create ~columns ~pkey:(List.map (fun c -> c.Schema.name) columns)
+      in
+      let row = Array.of_list (List.map snd cells) in
+      let key = Key_codec.encode_key s row in
+      let got = ref [] in
+      Key_codec.iter_prefix_lengths s key (fun n ->
+          got := String.sub key 0 n :: !got);
+      let values = List.map snd cells in
+      let want =
+        List.init (List.length lead) (fun i ->
+            Key_codec.encode_prefix s (List.filteri (fun j _ -> j <= i) values))
+      in
+      List.rev !got = want)
 
 (* ---- Row codec ------------------------------------------------------ *)
 
@@ -318,4 +364,5 @@ let suite =
     Support.qcheck prop_string_order;
     Support.qcheck prop_key_value_roundtrip;
     Support.qcheck prop_prefix_succ_bounds;
+    Support.qcheck prop_prefixes_from_key_bytes;
   ]

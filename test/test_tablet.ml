@@ -65,8 +65,8 @@ let write_tablet ?(bloom = 10) ?(block_size = 1024) vfs path rows =
   let w = Tablet.writer vfs ~path ~schema ~block_size ~bloom_bits_per_key:bloom () in
   List.iter
     (fun row ->
-      let key, prefixes = Key_codec.encode_key_with_prefixes schema row in
-      Tablet.add w ~key ~key_prefixes:prefixes ~ts:(Schema.row_ts schema row)
+      let key = Key_codec.encode_key schema row in
+      Tablet.add w ~key ~ts:(Schema.row_ts schema row)
         ~value:(Row_codec.encode_value schema row))
     rows;
   Tablet.finish w
@@ -89,10 +89,10 @@ let test_write_read_roundtrip () =
   let r = Tablet.open_reader vfs ~path:"t.tab" ~into:schema in
   Alcotest.(check bool) "multiple blocks" true (Tablet.block_count r > 3);
   Alcotest.(check int) "summary rows" 1000 (Tablet.summary r).Tablet.row_count;
-  let got = List.map snd (drain (Tablet.iter r ~asc:true ())) in
+  let got = List.map snd (drain (Tablet.iter r ~form:Tablet.Decoded ~asc:true ())) in
   Alcotest.(check int) "all rows back" 1000 (List.length got);
   Alcotest.(check bool) "contents equal" true (got = rows);
-  let back = List.map snd (drain (Tablet.iter r ~asc:false ())) in
+  let back = List.map snd (drain (Tablet.iter r ~form:Tablet.Decoded ~asc:false ())) in
   Alcotest.(check bool) "desc is reverse" true (back = List.rev rows);
   Tablet.close r
 
@@ -103,16 +103,16 @@ let test_iter_bounds () =
   let r = Tablet.open_reader vfs ~path:"t.tab" ~into:schema in
   (* Keys for rows 100 (incl) to 150 (excl). *)
   let key_of i = Key_codec.encode_key schema (mk_row i) in
-  let got = drain (Tablet.iter r ~asc:true ~lo:(key_of 100) ~hi:(key_of 150) ()) in
+  let got = drain (Tablet.iter r ~form:Tablet.Decoded ~asc:true ~lo:(key_of 100) ~hi:(key_of 150) ()) in
   Alcotest.(check int) "range size" 50 (List.length got);
   Alcotest.(check string) "first" (key_of 100) (fst (List.hd got));
-  let got_desc = drain (Tablet.iter r ~asc:false ~lo:(key_of 100) ~hi:(key_of 150) ()) in
+  let got_desc = drain (Tablet.iter r ~form:Tablet.Decoded ~asc:false ~lo:(key_of 100) ~hi:(key_of 150) ()) in
   Alcotest.(check bool) "desc same rows" true (got_desc = List.rev got);
   (* Bounds beyond the data. *)
   Alcotest.(check int) "empty high range" 0
-    (List.length (drain (Tablet.iter r ~asc:true ~lo:(key_of 9999) ())));
+    (List.length (drain (Tablet.iter r ~form:Tablet.Decoded ~asc:true ~lo:(key_of 9999) ())));
   Alcotest.(check int) "full low range" 500
-    (List.length (drain (Tablet.iter r ~asc:true ~lo:"" ())));
+    (List.length (drain (Tablet.iter r ~form:Tablet.Decoded ~asc:true ~lo:"" ())));
   Tablet.close r
 
 let test_bloom_prefixes () =
@@ -151,8 +151,8 @@ let test_abandon () =
   let vfs = Vfs.memory () in
   let w = Tablet.writer vfs ~path:"a.tab" ~schema ~block_size:1024 ~bloom_bits_per_key:0 () in
   let row = mk_row 0 in
-  let key, prefixes = Key_codec.encode_key_with_prefixes schema row in
-  Tablet.add w ~key ~key_prefixes:prefixes ~ts:0L ~value:(Row_codec.encode_value schema row);
+  let key = Key_codec.encode_key schema row in
+  Tablet.add w ~key ~ts:0L ~value:(Row_codec.encode_value schema row);
   Tablet.abandon w;
   Alcotest.(check bool) "file removed" false (Vfs.exists vfs "a.tab")
 
@@ -165,14 +165,14 @@ let test_schema_translation_on_read () =
   in
   let r = Tablet.open_reader vfs ~path:"t.tab" ~into:s2 in
   Alcotest.(check int) "stored schema version" 0 (Schema.version (Tablet.stored_schema r));
-  (match drain (Tablet.iter r ~asc:true ()) with
+  (match drain (Tablet.iter r ~form:Tablet.Decoded ~asc:true ()) with
   | (_, row) :: _ ->
       Alcotest.(check int) "translated arity" 6 (Array.length row);
       Alcotest.(check bool) "default injected" true (row.(5) = Value.Int32 7l)
   | [] -> Alcotest.fail "no rows");
   (* Retargeting on the fly. *)
   Tablet.set_target_schema r schema;
-  (match drain (Tablet.iter r ~asc:true ()) with
+  (match drain (Tablet.iter r ~form:Tablet.Decoded ~asc:true ()) with
   | (_, row) :: _ -> Alcotest.(check int) "original arity" 5 (Array.length row)
   | [] -> Alcotest.fail "no rows");
   Tablet.close r
@@ -192,7 +192,7 @@ let test_corruption_detected () =
   corrupt_at 50;
   (match
      let r = Tablet.open_reader vfs ~path:"bad.tab" ~into:schema in
-     drain (Tablet.iter r ~asc:true ())
+     drain (Tablet.iter r ~form:Tablet.Decoded ~asc:true ())
    with
   | (_ : (string * Value.t array) list) -> Alcotest.fail "block corruption missed"
   | exception Lt_util.Binio.Corrupt _ -> ());
@@ -222,19 +222,101 @@ let test_large_values () =
   let w = Tablet.writer vfs ~path:"big.tab" ~schema:s ~block_size:(64 * 1024)
             ~bloom_bits_per_key:10 () in
   for i = 0 to 4 do
-    let key, prefixes = Key_codec.encode_key_with_prefixes s (row i) in
-    Tablet.add w ~key ~key_prefixes:prefixes ~ts:(Int64.of_int i)
+    let key = Key_codec.encode_key s (row i) in
+    Tablet.add w ~key ~ts:(Int64.of_int i)
       ~value:(Row_codec.encode_value s (row i))
   done;
   let summary = Tablet.finish w in
   Alcotest.(check int) "rows" 5 summary.Tablet.row_count;
   let r = Tablet.open_reader vfs ~path:"big.tab" ~into:s in
-  let rows = drain (Tablet.iter r ~asc:true ()) in
+  let rows = drain (Tablet.iter r ~form:Tablet.Decoded ~asc:true ()) in
   Alcotest.(check int) "all back" 5 (List.length rows);
   (match rows with
   | (_, row) :: _ -> Alcotest.(check bool) "blob intact" true (row.(4) = Value.Blob big)
   | [] -> ());
   Tablet.close r
+
+(* ---- Encoded-row merges ------------------------------------------------ *)
+
+(* Merge [inputs] (tablet paths) into [out] the way a table merge does,
+   either streaming value encodings into [Tablet.add] or decoded rows
+   into [Tablet.add_row]; returns the output file's bytes. *)
+let merge_tablets vfs ~schema ?layout ~encoded inputs out =
+  let readers = List.map (fun path -> Tablet.open_reader vfs ~path ~into:schema) inputs in
+  let w =
+    Tablet.writer vfs ~path:out ~schema ~block_size:1024 ~bloom_bits_per_key:10
+      ?layout ()
+  in
+  let merged form = Cursor.merge ~asc:true (List.mapi (fun i r -> (i, Tablet.iter r ~form ~asc:true ())) readers) in
+  (if encoded then
+     Cursor.fold
+       (fun () (key, value) -> Tablet.add w ~key ~ts:(Key_codec.ts_of_key key) ~value)
+       () (merged Tablet.Encoded)
+   else
+     Cursor.fold
+       (fun () (key, row) -> Tablet.add_row w ~key ~ts:(Key_codec.ts_of_key key) row)
+       () (merged Tablet.Decoded));
+  ignore (Tablet.finish w);
+  List.iter Tablet.close readers;
+  Vfs.read_all vfs out
+
+(* Three tablets whose keys interleave; key [100] is in all three, so
+   the merge drops two shadowed copies. *)
+let write_interleaved vfs ~schema ?(layout = Block.Row_major) ~from row_of =
+  List.map
+    (fun t ->
+      let path = Printf.sprintf "in%d-%d.tab" from t in
+      let w =
+        Tablet.writer vfs ~path ~schema ~block_size:1024 ~bloom_bits_per_key:10 ~layout ()
+      in
+      List.iter
+        (fun i ->
+          let row = row_of i in
+          Tablet.add_row w ~key:(Key_codec.encode_key schema row)
+            ~ts:(Schema.row_ts schema row) row)
+        (List.filter (fun i -> i mod 3 = t || i = 100) (List.init 300 (fun i -> from + i)));
+      ignore (Tablet.finish w);
+      path)
+    [ 0; 1; 2 ]
+
+let test_encoded_merge_identical () =
+  let vfs = Vfs.memory () in
+  let inputs = write_interleaved vfs ~schema ~from:0 mk_row in
+  let copied = merge_tablets vfs ~schema ~encoded:true inputs "enc.tab" in
+  let decoded = merge_tablets vfs ~schema ~encoded:false inputs "dec.tab" in
+  Alcotest.(check bool) "byte-identical tablet" true (String.equal copied decoded);
+  let r = Tablet.open_reader vfs ~path:"enc.tab" ~into:schema in
+  Alcotest.(check int) "rows (duplicate shadowed)" 300 (Tablet.summary r).Tablet.row_count;
+  Tablet.close r
+
+(* Sources under older schemas and a columnar source re-encode per row;
+   the output, row- or column-major, still matches the decoded path. *)
+let test_encoded_merge_translated () =
+  let vfs = Vfs.memory () in
+  let s2 =
+    Schema.add_column schema
+      { Schema.name = "drops"; ctype = Value.T_int32; default = Value.Int32 7l }
+  in
+  let s3 = Schema.widen_column s2 "drops" in
+  let old = write_interleaved vfs ~schema ~from:0 mk_row in
+  let mid =
+    write_interleaved vfs ~schema:s2 ~from:1000 (fun i ->
+        Array.append (mk_row i) [| Value.Int32 (Int32.of_int i) |])
+  in
+  let col =
+    write_interleaved vfs ~schema:s3 ~layout:Block.Col_major ~from:2000 (fun i ->
+        Array.append (mk_row i) [| Value.Int64 (Int64.of_int i) |])
+  in
+  let inputs = old @ mid @ col in
+  List.iter
+    (fun layout ->
+      let copied = merge_tablets vfs ~schema:s3 ~layout ~encoded:true inputs "enc.tab" in
+      let decoded = merge_tablets vfs ~schema:s3 ~layout ~encoded:false inputs "dec.tab" in
+      Alcotest.(check bool) "byte-identical tablet" true (String.equal copied decoded);
+      let r = Tablet.open_reader vfs ~path:"enc.tab" ~into:s3 in
+      Alcotest.(check int) "all rows" 900 (Tablet.summary r).Tablet.row_count;
+      Tablet.close r)
+    [ Block.Row_major; Block.Col_major ]
 
 (* ---- Descriptor ------------------------------------------------------ *)
 
@@ -307,6 +389,8 @@ let suite =
     ("schema translation on read", `Quick, test_schema_translation_on_read);
     ("corruption detected", `Quick, test_corruption_detected);
     ("values larger than blocks", `Quick, test_large_values);
+    ("encoded merge matches decoded", `Quick, test_encoded_merge_identical);
+    ("encoded merge translates sources", `Quick, test_encoded_merge_translated);
     ("descriptor roundtrip", `Quick, test_descriptor_roundtrip);
     ("descriptor atomic replace", `Quick, test_descriptor_atomic_replace);
     ("descriptor corruption", `Quick, test_descriptor_corruption);
