@@ -18,6 +18,18 @@ type disk_tablet = {
   mutable eligible_at : int64;
 }
 
+(* A tablet as it enters the live set (at open or at a commit):
+   unpinned, and not merge-eligible until [merge_delay] has passed. *)
+let disk_tablet ~config ~now meta =
+  {
+    meta;
+    reader = None;
+    refs = 0;
+    doomed = false;
+    last_cls = Period.classify ~now meta.Descriptor.min_ts;
+    eligible_at = Int64.add now config.Config.merge_delay;
+  }
+
 type t = {
   vfs : Vfs.t;
   clock : Clock.t;
@@ -128,18 +140,55 @@ let obs_end t ~hist ~op ~t0 ~h0 ~m0 ?(scanned = 0) ?(returned = 0)
    opt-in and must work even when [Config.obs_enabled] is false. *)
 type prof_acc = {
   pr_mutex : Mutex.t;
+  pr_t0 : int64;
+  pr_h0 : int; (* cache hits and misses at entry *)
+  pr_m0 : int;
   mutable pr_plan_us : int64;
   mutable pr_scan_us : int64; (* summed worker busy time when staged *)
   mutable pr_stall_us : int64;
   mutable pr_staged : bool; (* parallel path taken *)
 }
 
-let prof_acc_create () =
+let prof_acc_create t =
+  let pr_t0 = Clock.now t.clock in
+  let pr_h0, pr_m0 = cache_counts t in
   { pr_mutex = Mutex.create ();
+    pr_t0;
+    pr_h0;
+    pr_m0;
     pr_plan_us = 0L;
     pr_scan_us = 0L;
     pr_stall_us = 0L;
     pr_staged = false }
+
+(* The one {!Lt_obs.Profile.t} builder, for [query] and [query_agg].
+   [scan0] is when row pulling began; a staged scan reports its summed
+   worker time instead. *)
+let profile_of t pr ~scan0 ~scanned ~returned ~tablets ~pruned
+    (counters : Tablet.scan_counters) =
+  let fin = Clock.now t.clock in
+  let h1, m1 = cache_counts t in
+  let scan_us, stall_us =
+    Mutexes.with_lock pr.pr_mutex (fun () ->
+        if pr.pr_staged then (pr.pr_scan_us, pr.pr_stall_us)
+        else (Int64.sub fin scan0, 0L))
+  in
+  { Lt_obs.Profile.p_plan_us = pr.pr_plan_us;
+    p_scan_us = scan_us;
+    p_stall_us = stall_us;
+    p_total_us = Int64.sub fin pr.pr_t0;
+    p_rows_scanned = scanned;
+    p_rows_returned = returned;
+    p_tablets = tablets;
+    p_tablets_pruned = pruned;
+    (* Blooms serve only the [latest] point-lookup path (§3.4.5); a
+       range scan never consults them. *)
+    p_bloom_skips = 0;
+    p_cache_hits = h1 - pr.pr_h0;
+    p_cache_misses = m1 - pr.pr_m0;
+    p_blocks_footer_answered = Atomic.get counters.Tablet.sc_footer_blocks;
+    p_columns_decoded = Atomic.get counters.Tablet.sc_cols_decoded;
+    p_shards = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -157,20 +206,7 @@ let seed_of_name name =
 
 let make vfs ~clock ~config ~dir ~name ~desc ~cache ~obs ~pool =
   let open Descriptor in
-  let n = Clock.now clock in
-  let disk =
-    List.map
-      (fun meta ->
-        {
-          meta;
-          reader = None;
-          refs = 0;
-          doomed = false;
-          last_cls = Period.classify ~now:n meta.min_ts;
-          eligible_at = Int64.add n config.Config.merge_delay;
-        })
-      desc.tablets
-  in
+  let disk = List.map (disk_tablet ~config ~now:(Clock.now clock)) desc.tablets in
   let max_ts_seen =
     List.fold_left
       (fun acc m ->
@@ -251,14 +287,8 @@ let open_ ?cache ?(obs = Obs.noop) ?pool vfs ~clock ~config ~dir ~name =
       Tablet.close r
     with
     | () -> true
-    | exception ((Binio.Corrupt _ | Lt_vfs.Vfs.Io_error _) as e) ->
+    | exception (Binio.Corrupt reason | Lt_vfs.Vfs.Io_error reason) ->
         incr quarantined;
-        let reason =
-          match e with
-          | Binio.Corrupt msg -> msg
-          | Lt_vfs.Vfs.Io_error msg -> msg
-          | _ -> assert false
-        in
         if Vfs.exists vfs path then begin
           (try Vfs.rename vfs ~src:path ~dst:(path ^ ".quarantine")
            with Vfs.Io_error _ -> (
@@ -293,24 +323,15 @@ let save_descriptor_locked t =
   Descriptor.save t.vfs ~dir:t.dir desc
 
 (* Must be called with [state] held. *)
-let get_reader_locked t dt =
-  match dt.reader with
-  | Some r -> r
-  | None ->
-      let r =
-        Tablet.open_reader ?cache:t.cache ~obs:t.obs t.vfs
-          ~path:(tablet_path t dt.meta.Descriptor.file)
-          ~into:t.schema
-      in
-      dt.reader <- Some r;
-      r
+let close_reader_locked dt =
+  (match dt.reader with Some r -> Tablet.close r | None -> ());
+  dt.reader <- None
 
 (* Must be called with [state] held: closes the reader and queues the
    file for [drain_doomed]. The durable descriptor no longer references
    the tablet, so the unlink can wait until no lock is held. *)
 let destroy_tablet_locked t dt =
-  (match dt.reader with Some r -> Tablet.close r | None -> ());
-  dt.reader <- None;
+  close_reader_locked dt;
   t.doomed_paths <- tablet_path t dt.meta.Descriptor.file :: t.doomed_paths
 
 (* Unlink every queued doomed file. Must be called with no table lock
@@ -339,19 +360,11 @@ let release_locked t dts =
       if dt.doomed && dt.refs = 0 then destroy_tablet_locked t dt)
     dts
 
-let release t dts =
-  Mutexes.with_lock t.state (fun () -> release_locked t dts);
-  drain_doomed t
-
 let close t =
   Mutexes.with_lock t.state (fun () ->
       if not t.closed then begin
         t.closed <- true;
-        List.iter
-          (fun dt -> match dt.reader with
-            | Some r -> Tablet.close r; dt.reader <- None
-            | None -> ())
-          t.disk
+        List.iter close_reader_locked t.disk
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -369,7 +382,9 @@ let set_ttl t ttl =
           t.ttl <- ttl;
           save_descriptor_locked t))
 
-let rebuild_memtable t ~from mt =
+(* [mt]'s rows that pass [keep], translated from schema [from] to the
+   current one, in a fresh memtable with the same identity. *)
+let rebuild_memtable t ~from ~keep mt =
   let fresh =
     Memtable.create ~id:(Memtable.id mt) ~period:(Memtable.period mt)
       ~created_at:(Memtable.created_at mt)
@@ -379,10 +394,12 @@ let rebuild_memtable t ~from mt =
     match Avl.next it with
     | None -> ()
     | Some (key, row) ->
-        let row = Schema.translate_row ~from ~into:t.schema row in
-        (match Memtable.insert fresh ~key ~ts:(Key_codec.ts_of_key key) row with
-        | `Ok -> Memtable.add_bytes fresh (Row_codec.stored_size t.schema row)
-        | `Duplicate -> assert false);
+        if keep key then begin
+          let row = Schema.translate_row ~from ~into:t.schema row in
+          match Memtable.insert fresh ~key ~ts:(Key_codec.ts_of_key key) row with
+          | `Ok -> Memtable.add_bytes fresh (Row_codec.stored_size t.schema row)
+          | `Duplicate -> assert false
+        end;
         go ()
   in
   go ();
@@ -393,8 +410,9 @@ let change_schema t f =
       Mutexes.with_lock t.state (fun () ->
           let old = t.schema in
           t.schema <- f old;
-          t.filling <- List.map (rebuild_memtable t ~from:old) t.filling;
-          t.frozen <- List.map (rebuild_memtable t ~from:old) t.frozen;
+          let rebuild = rebuild_memtable t ~from:old ~keep:(fun _ -> true) in
+          t.filling <- List.map rebuild t.filling;
+          t.frozen <- List.map rebuild t.frozen;
           List.iter
             (fun dt ->
               match dt.reader with
@@ -408,8 +426,201 @@ let add_column t col = change_schema t (fun s -> Schema.add_column s col)
 let widen_column t cname = change_schema t (fun s -> Schema.widen_column s cname)
 
 (* ------------------------------------------------------------------ *)
+(* Scan plan and tablet-set commit (DESIGN.md §14)                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A memtable as a plan saw it: its persistent tree and spans, all read
+   under [state]. *)
+type mem_snap = {
+  mem_id : int;
+  tree : Value.t array Avl.t;
+  mem_min_ts : int64;
+  mem_max_ts : int64;
+  mem_min_key : string;
+  mem_max_key : string;
+}
+
+(* What one read or rewrite sees: the memtables and disk tablets that
+   meet the box [\[lo, hi) x \[ts_min, ts_max\]], with [ts_min] already
+   raised to the TTL cutoff. The disk tablets are pinned until
+   [finish]. *)
+type plan = {
+  lo : string;
+  hi : string option;
+  ts_min : int64 option;
+  ts_max : int64 option;
+  mems : mem_snap list;
+  pinned : disk_tablet list;
+  considered : int;  (* disk tablets before pruning *)
+}
+
+(* The only place a tablet is pinned. Must be called with [state] held. *)
+let pin_locked dts = List.iter (fun dt -> dt.refs <- dt.refs + 1) dts
+
+(* [dts] with their readers, each opened on first use and cached on its
+   tablet. Must be called with [state] held, on pinned tablets, where
+   [finish] is sure to follow: a failed open then leaves no pin. *)
+let open_locked t dts =
+  let reader dt =
+    match dt.reader with
+    | Some r -> r
+    | None ->
+        let r =
+          Tablet.open_reader ?cache:t.cache ~obs:t.obs t.vfs
+            ~path:(tablet_path t dt.meta.Descriptor.file)
+            ~into:t.schema
+        in
+        dt.reader <- Some r;
+        r
+  in
+  List.map (fun dt -> (dt, reader dt)) dts
+
+(* Snapshot the memtables and disk tablets, prune both by key range,
+   timestamp bounds and TTL cutoff, and pin the surviving tablets. Must
+   be called with [state] held. [disk] restricts the plan to those
+   tablets and no memtables: a rewrite reads only its sources. Readers
+   are opened later, so [latest] opens only the groups it searches. *)
+let plan_locked ?disk ?(lo = "") ?hi ?ts_min ?ts_max t =
+  let ts_min =
+    match (ts_min, ttl_cutoff_locked t) with
+    | None, c | c, None -> c
+    | Some m, Some c -> Some (max m c)
+  in
+  let meets ~min_key ~max_key ~min_ts ~max_ts =
+    String.compare lo max_key <= 0
+    && (match hi with None -> true | Some h -> String.compare h min_key > 0)
+    && (match ts_min with None -> true | Some b -> max_ts >= b)
+    && match ts_max with None -> true | Some b -> min_ts <= b
+  in
+  let mems, disk =
+    match disk with
+    | Some dts -> ([], dts)
+    | None -> (t.filling @ t.frozen, t.disk)
+  in
+  let mems =
+    List.filter_map
+      (fun m ->
+        match (Memtable.ts_range m, Memtable.min_key m, Memtable.max_key m) with
+        | Some (min_ts, max_ts), Some min_key, Some max_key
+          when meets ~min_key ~max_key ~min_ts ~max_ts ->
+            Some
+              { mem_id = Memtable.id m;
+                tree = Memtable.snapshot m;
+                mem_min_ts = min_ts;
+                mem_max_ts = max_ts;
+                mem_min_key = min_key;
+                mem_max_key = max_key }
+        | _ -> None)
+      mems
+  in
+  let pinned =
+    List.filter
+      (fun dt ->
+        let m = dt.meta in
+        meets ~min_key:m.Descriptor.min_key ~max_key:m.Descriptor.max_key
+          ~min_ts:m.Descriptor.min_ts ~max_ts:m.Descriptor.max_ts)
+      disk
+  in
+  pin_locked pinned;
+  { lo; hi; ts_min; ts_max; mems; pinned; considered = List.length disk }
+
+let mem_stream plan ~asc m =
+  let iter = if asc then Avl.iter_asc else Avl.iter_desc in
+  let it = iter ~lo:plan.lo ?hi:plan.hi m.tree in
+  (m.mem_id, fun () -> Avl.next it)
+
+let disk_stream plan ~asc ?projection ?counters (dt, r) =
+  ( dt.meta.Descriptor.id,
+    Tablet.iter r ~form:Tablet.Decoded ~asc ~lo:plan.lo ?hi:plan.hi ?projection
+      ?counters () )
+
+(* The plan's read (§3.2): merge-sort [sources] into key order and drop
+   rows outside the plan's timestamp bounds, counting every row
+   examined into [scanned]. *)
+let plan_cursor plan ~scanned ~asc sources =
+  Cursor.filter_ts ~scanned ?ts_min:plan.ts_min ?ts_max:plan.ts_max
+    (Cursor.merge ~asc sources)
+
+(* A rewrite reads its sources whole, as value encodings under the
+   schema returned with them: both come from one [state] region. *)
+let rewrite_streams t plan =
+  Mutexes.with_lock t.state (fun () ->
+      ( t.schema,
+        List.map
+          (fun (dt, r) ->
+            ( dt.meta.Descriptor.id,
+              Tablet.iter r ~form:Tablet.Encoded ~asc:true () ))
+          (open_locked t plan.pinned) ))
+
+(* End a plan: drop its pins. A caller that staged producers on the
+   pinned readers joins them first. Takes [state]; the caller drains
+   doomed files once it holds no table lock. *)
+let finish t plan =
+  Mutexes.with_lock t.state (fun () -> release_locked t plan.pinned)
+
+(* [f] over a fresh plan, which is finished and its doomed files drained
+   on success and on error. For callers that hold no table lock. *)
+let with_plan t ?lo ?hi ?ts_min ?ts_max f =
+  let plan =
+    Mutexes.with_lock t.state (fun () -> plan_locked t ?lo ?hi ?ts_min ?ts_max)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      finish t plan;
+      drain_doomed t)
+    (fun () -> f plan)
+
+let total_size dts =
+  List.fold_left (fun acc dt -> acc + dt.meta.Descriptor.size) 0 dts
+
+(* Must be called with [state] held. *)
+let next_id_locked t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
+
+(* The one tablet-set swap, for flush, merge, bulk delete and expiry:
+   drop [remove], add tablets for [add], keep [t.disk] in (min_ts, id)
+   order, and persist. Must be called with [state] held. The descriptor
+   is saved first; if that fails, [t.disk] is restored, the new files
+   are queued for deletion and the removed tablets stay live. Only
+   after a good save are the removed tablets doomed, so none is
+   unlinked while the durable descriptor still references it; a pinned
+   one dies at its last release. *)
+let commit_locked t ~remove ~add =
+  let saved = t.disk in
+  let span_order dt = (dt.meta.Descriptor.min_ts, dt.meta.Descriptor.id) in
+  t.disk <-
+    List.sort
+      (fun a b -> compare (span_order a) (span_order b))
+      (List.map (disk_tablet ~config:t.config ~now:(now t)) add
+      @ List.filter (fun dt -> not (List.memq dt remove)) t.disk);
+  (try save_descriptor_locked t
+   with e ->
+     t.disk <- saved;
+     t.doomed_paths <-
+       List.map (fun m -> tablet_path t m.Descriptor.file) add @ t.doomed_paths;
+     raise e);
+  List.iter
+    (fun dt ->
+      dt.doomed <- true;
+      if dt.refs = 0 then destroy_tablet_locked t dt)
+    remove
+
+(* ------------------------------------------------------------------ *)
 (* Flushing                                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* Drop memtables [ids] from the queues and the flush graph. Must be
+   called with [state] held. *)
+let retire_memtables_locked t ids =
+  let live m = not (List.mem (Memtable.id m) ids) in
+  t.filling <- List.filter live t.filling;
+  t.frozen <- List.filter live t.frozen;
+  Flush_graph.remove t.graph ids;
+  match t.last_insert_tablet with
+  | Some id when List.mem id ids -> t.last_insert_tablet <- None
+  | _ -> ()
 
 let freeze_locked t mt =
   t.filling <- List.filter (fun m -> Memtable.id m <> Memtable.id mt) t.filling;
@@ -430,40 +641,46 @@ let meta_of_summary ~id ~file (s : Tablet.summary) =
       columnar = s.Tablet.columnar;
     }
 
-(* Write one memtable out as a tablet file; no descriptor update yet.
-   Runs without the state lock: frozen memtables are immutable. *)
-let write_memtable t mt =
-  let schema = Mutexes.with_lock t.state (fun () -> t.schema) in
-  let id = Memtable.id mt in
+(* Write new tablet [id]; no descriptor update yet. [fill] adds the rows
+   and returns how many; [None] when it added none. A failure mid-write
+   abandons the partial file, so only complete files ever carry a tablet
+   name; the inputs are untouched, so the caller can simply retry. *)
+let write_tablet t ~id ~schema ~expected_rows ?layout fill =
   let file = Descriptor.tablet_file id in
   let writer =
     Tablet.writer t.vfs ~path:(tablet_path t file) ~schema
       ~block_size:t.config.Config.block_size
-      ~bloom_bits_per_key:t.config.Config.bloom_bits_per_key
-      ~expected_rows:(Memtable.row_count mt) ()
+      ~bloom_bits_per_key:t.config.Config.bloom_bits_per_key ~expected_rows
+      ?layout ()
   in
-  let it = Avl.iter_asc (Memtable.snapshot mt) in
-  let summary =
-    (* A failure mid-write leaves a partial tablet; abandon it so only
-       complete files ever carry a tablet name. The memtable itself is
-       untouched — the caller keeps it queued for retry. *)
-    try
-      let rec go () =
-        match Avl.next it with
-        | None -> ()
-        | Some (key, row) ->
-            Tablet.add_enc writer ~key ~ts:(Key_codec.ts_of_key key)
-              ~value_size:(Row_codec.value_size schema row)
-              ~encode:(fun buf -> Row_codec.encode_value_into buf schema row);
-            go ()
-      in
-      go ();
-      Tablet.finish writer
-    with e ->
+  try
+    if fill writer = 0 then begin
       Tablet.abandon writer;
-      raise e
+      None
+    end
+    else Some (meta_of_summary ~id ~file (Tablet.finish writer))
+  with e ->
+    Tablet.abandon writer;
+    raise e
+
+(* Write one memtable out as a tablet file. Runs without the state
+   lock: frozen memtables are immutable. *)
+let write_memtable t mt =
+  let schema = Mutexes.with_lock t.state (fun () -> t.schema) in
+  let it = Avl.iter_asc (Memtable.snapshot mt) in
+  let rec fill writer n =
+    match Avl.next it with
+    | None -> n
+    | Some (key, row) ->
+        Tablet.add_enc writer ~key ~ts:(Key_codec.ts_of_key key)
+          ~value_size:(Row_codec.value_size schema row)
+          ~encode:(fun buf -> Row_codec.encode_value_into buf schema row);
+        fill writer (n + 1)
   in
-  meta_of_summary ~id ~file summary
+  (* Flushed memtables are never empty. *)
+  Option.get
+    (write_tablet t ~id:(Memtable.id mt) ~schema
+       ~expected_rows:(Memtable.row_count mt) (fun writer -> fill writer 0))
 
 (* Flush [mt] and its dependency closure as one atomic descriptor
    update (§3.4.3). Caller holds [writer_lock]. *)
@@ -489,13 +706,7 @@ let flush_closure t mt =
      forever. *)
   if empties <> [] then
     Mutexes.with_lock t.state (fun () ->
-        let ids = List.map Memtable.id empties in
-        t.frozen <- List.filter (fun m -> not (List.mem (Memtable.id m) ids)) t.frozen;
-        t.filling <- List.filter (fun m -> not (List.mem (Memtable.id m) ids)) t.filling;
-        Flush_graph.remove t.graph ids;
-        match t.last_insert_tablet with
-        | Some id when List.mem id ids -> t.last_insert_tablet <- None
-        | _ -> ());
+        retire_memtables_locked t (List.map Memtable.id empties));
   let metas =
     List.map
       (fun m ->
@@ -507,49 +718,14 @@ let flush_closure t mt =
       members
   in
   Mutexes.with_lock t.state (fun () ->
-      let n = now t in
-      let new_dts =
-        List.map
-          (fun (_, meta) ->
-            {
-              meta;
-              reader = None;
-              refs = 0;
-              doomed = false;
-              last_cls = Period.classify ~now:n meta.Descriptor.min_ts;
-              eligible_at = Int64.add n t.config.Config.merge_delay;
-            })
-          metas
-      in
-      let saved_disk = t.disk in
-      t.disk <-
-        List.sort
-          (fun a b ->
-            match Int64.compare a.meta.Descriptor.min_ts b.meta.Descriptor.min_ts with
-            | 0 -> Int.compare a.meta.Descriptor.id b.meta.Descriptor.id
-            | c -> c)
-          (new_dts @ t.disk);
       (* Persist before touching the queues: if the descriptor save
          fails, the memtables must stay frozen (the rows are acked and
          nowhere else) and the new files die unreferenced. *)
-      (match save_descriptor_locked t with
-      | () -> ()
-      | exception e ->
-          t.disk <- saved_disk;
-          List.iter
-            (fun (_, meta) ->
-              t.doomed_paths <-
-                tablet_path t meta.Descriptor.file :: t.doomed_paths)
-            metas;
-          raise e);
+      commit_locked t ~remove:[] ~add:(List.map snd metas);
       List.iter
-        (fun (m, meta) ->
-          Stats.note_flush t.stats ~bytes:meta.Descriptor.size;
-          let id = Memtable.id m in
-          t.frozen <- List.filter (fun x -> Memtable.id x <> id) t.frozen;
-          if t.last_insert_tablet = Some id then t.last_insert_tablet <- None)
+        (fun (_, meta) -> Stats.note_flush t.stats ~bytes:meta.Descriptor.size)
         metas;
-      Flush_graph.remove t.graph (List.map (fun (m, _) -> Memtable.id m) metas))
+      retire_memtables_locked t (List.map (fun (m, _) -> Memtable.id m) metas))
 
 (* Retry backoff for background flushes: 100 ms doubling to a 10 s cap. *)
 let flush_backoff_base_us = 100_000
@@ -571,31 +747,21 @@ let flush_frozen_backlog ?(swallow = false) t ~limit =
     in
     match next with
     | None -> ()
-    | Some m ->
-        if swallow then begin
-          if now t >= t.flush_retry_at then begin
-            match flush_closure t m with
-            | () ->
-                t.flush_failures <- 0;
-                t.flush_retry_at <- 0L;
-                go ()
-            | exception Vfs.Io_error _ ->
-                t.flush_failures <- t.flush_failures + 1;
-                Stats.note_flush_retry t.stats;
-                let backoff =
-                  min flush_backoff_cap_us
-                    (flush_backoff_base_us
-                    * (1 lsl min 10 (t.flush_failures - 1)))
-                in
-                t.flush_retry_at <- Int64.add (now t) (Int64.of_int backoff)
-          end
-        end
-        else begin
-          flush_closure t m;
-          t.flush_failures <- 0;
-          t.flush_retry_at <- 0L;
-          go ()
-        end
+    | Some _ when swallow && now t < t.flush_retry_at -> ()
+    | Some m -> (
+        match flush_closure t m with
+        | () ->
+            t.flush_failures <- 0;
+            t.flush_retry_at <- 0L;
+            go ()
+        | exception Vfs.Io_error _ when swallow ->
+            t.flush_failures <- t.flush_failures + 1;
+            Stats.note_flush_retry t.stats;
+            let backoff =
+              min flush_backoff_cap_us
+                (flush_backoff_base_us * (1 lsl min 10 (t.flush_failures - 1)))
+            in
+            t.flush_retry_at <- Int64.add (now t) (Int64.of_int backoff))
   in
   go ()
 
@@ -672,8 +838,8 @@ let pp_key schema key =
    is about to land in — is skipped because [Memtable.insert] detects
    its own duplicates, so checking it here would traverse the tree
    twice. [`Check cands] means only a point read can decide; the
-   candidates' refcounts are bumped so the caller can read them with
-   the lock released. Caller holds [writer_lock], so no new rows can
+   candidates are pinned so the caller can read them with the lock
+   released. Caller holds [writer_lock], so no new rows can
    appear concurrently. *)
 let classify_unique_locked t ~key ~ts ~target =
   match t.max_ts_seen with
@@ -698,18 +864,12 @@ let classify_unique_locked t ~key ~ts ~target =
               && String.compare key m.Descriptor.max_key <= 0)
             t.disk
         in
-        match cands with
-        | [] -> `Unique
-        | _ ->
-            List.iter (fun dt -> dt.refs <- dt.refs + 1) cands;
-            `Check cands
+        match cands with [] -> `Unique | _ -> pin_locked cands; `Check cands
       end
 
 (* Caller holds [t.state]. *)
 let create_memtable_locked t ~now:n bin =
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
-  let m = Memtable.create ~id ~period:bin ~created_at:n in
+  let m = Memtable.create ~id:(next_id_locked t) ~period:bin ~created_at:n in
   t.filling <- m :: t.filling;
   m
 
@@ -740,10 +900,12 @@ let insert_into_locked t mt ~key ~ts row =
    round trips instead of two per row. A row whose uniqueness needs a
    disk point read (rare: its ts and key fall inside a flushed
    tablet's bounds) ends the run, reads with the lock released, and
-   the loop resumes. Caller holds [writer_lock]. *)
+   the loop resumes at that row, now known unique. Caller holds
+   [writer_lock], so no row can appear meanwhile. *)
 let insert_rows_locked t rows ~landed =
   let max_run = 512 in
   let pending = ref rows in
+  let verified = ref None in
   while !pending <> [] do
     let deferred =
       Mutexes.with_lock t.state (fun () ->
@@ -775,13 +937,16 @@ let insert_rows_locked t rows ~landed =
                         Some b )
                 in
                 let verdict =
-                  if t.config.Config.enforce_unique then
-                    classify_unique_locked t ~key ~ts ~target
-                  else `Unique
+                  match !verified with
+                  | Some r when r == row ->
+                      verified := None;
+                      `Unique
+                  | _ when not t.config.Config.enforce_unique -> `Unique
+                  | _ -> classify_unique_locked t ~key ~ts ~target
                 in
                 (match verdict with
                 | `Duplicate -> raise (Duplicate_key (pp_key t.schema key))
-                | `Check cands -> defer := Some (row, key, ts, cands)
+                | `Check cands -> defer := Some (row, key, cands)
                 | `Unique ->
                     let mt =
                       match target with
@@ -801,7 +966,7 @@ let insert_rows_locked t rows ~landed =
     in
     match deferred with
     | None -> ()
-    | Some (row, key, ts, cands) ->
+    | Some (row, key, cands) ->
         let dup =
           Fun.protect
             ~finally:(fun () ->
@@ -810,28 +975,11 @@ let insert_rows_locked t rows ~landed =
                  release or maintenance pass) unlinks the files. *)
               Mutexes.with_lock t.state (fun () -> release_locked t cands))
             (fun () ->
-              List.exists
-                (fun dt ->
-                  let r =
-                    Mutexes.with_lock t.state (fun () -> get_reader_locked t dt)
-                  in
-                  Tablet.mem r key)
-                cands)
+              Mutexes.with_lock t.state (fun () -> open_locked t cands)
+              |> List.exists (fun (_, r) -> Tablet.mem r key))
         in
         if dup then raise (Duplicate_key (pp_key t.schema key));
-        Mutexes.with_lock t.state (fun () ->
-            let n = now t in
-            let bin = Period.bin ~now:n ts in
-            let mt =
-              match
-                List.find_opt (fun m -> Memtable.period m = bin) t.filling
-              with
-              | Some m -> m
-              | None -> create_memtable_locked t ~now:n bin
-            in
-            ignore (insert_into_locked t mt ~key ~ts row));
-        incr landed;
-        (match !pending with _ :: rest -> pending := rest | [] -> ())
+        verified := Some row
   done
 
 (* [insert_report] is [insert] that reports a mid-batch uniqueness
@@ -874,79 +1022,6 @@ let max_ts t = Mutexes.with_lock t.state (fun () -> t.max_ts_seen)
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
-
-type scan = {
-  sources : (int * Cursor.source) list;
-  referenced : disk_tablet list;
-  eff_ts_min : int64 option;
-  considered : int; (* disk tablets before range pruning *)
-}
-
-(* Select overlapping tablets and snapshot memtables. Takes refs on the
-   disk tablets; the caller must [release] them. [projection] and
-   [counters] thread through to {!Tablet.iter} so columnar tablets
-   decode only the referenced columns and report pushdown tallies. *)
-let open_scan ?projection ?counters t ~(compiled : Query.compiled) ~ts_min
-    ~ts_max ~asc =
-  Mutexes.with_lock t.state (fun () ->
-      let cutoff = ttl_cutoff_locked t in
-      let eff_ts_min =
-        match (ts_min, cutoff) with
-        | None, c -> c
-        | (Some _ as m), None -> m
-        | Some m, Some c -> Some (max m c)
-      in
-      let ts_overlaps ~lo ~hi =
-        (match eff_ts_min with None -> true | Some b -> hi >= b)
-        && match ts_max with None -> true | Some b -> lo <= b
-      in
-      let key_overlaps ~min_key ~max_key =
-        String.compare compiled.Query.lo max_key <= 0
-        &&
-        match compiled.Query.hi with
-        | None -> true
-        | Some h -> String.compare h min_key > 0
-      in
-      let mem_sources =
-        List.filter_map
-          (fun m ->
-            match Memtable.ts_range m with
-            | Some (lo, hi) when ts_overlaps ~lo ~hi ->
-                let snap = Memtable.snapshot m in
-                let lo = compiled.Query.lo and hi = compiled.Query.hi in
-                let it =
-                  if asc then Avl.iter_asc ~lo ?hi snap
-                  else Avl.iter_desc ~lo ?hi snap
-                in
-                Some (Memtable.id m, fun () -> Avl.next it)
-            | _ -> None)
-          (t.filling @ t.frozen)
-      in
-      let selected =
-        List.filter
-          (fun dt ->
-            let m = dt.meta in
-            ts_overlaps ~lo:m.Descriptor.min_ts ~hi:m.Descriptor.max_ts
-            && key_overlaps ~min_key:m.Descriptor.min_key
-                 ~max_key:m.Descriptor.max_key)
-          t.disk
-      in
-      List.iter (fun dt -> dt.refs <- dt.refs + 1) selected;
-      let disk_sources =
-        List.map
-          (fun dt ->
-            let r = get_reader_locked t dt in
-            ( dt.meta.Descriptor.id,
-              Tablet.iter r ~form:Tablet.Decoded ~asc ~lo:compiled.Query.lo
-                ?hi:compiled.Query.hi ?projection ?counters () ))
-          selected
-      in
-      { sources = mem_sources @ disk_sources;
-        referenced = selected;
-        eff_ts_min;
-        considered = List.length t.disk })
-
-let empty_source () = None
 
 (* Fan the scan's sources out over the worker pool when it can help: a
    pool is configured, the scan touches disk, and there is more than one
@@ -996,57 +1071,86 @@ let maybe_stage ?prof t ~has_disk sources =
       Pscan.stage pool ~now_us ~on_worker ~on_stall sources
   | _ -> (sources, fun () -> ())
 
+(* A running query: its stream and the idempotent [close] that joins
+   staged producers, releases the plan's pins and drains doomed files. *)
+type scan = {
+  src : Cursor.source;
+  close : unit -> unit;
+  scanned : int ref;
+  tablets : int;
+  pruned : int;  (* disk tablets the plan pruned *)
+  counters : Tablet.scan_counters;
+}
+
 let query_raw ?prof t (q : Query.t) =
   let plan0 = match prof with Some _ -> Clock.now t.clock | None -> 0L in
   let counters = Tablet.fresh_counters () in
+  let scanned = ref 0 in
   match Query.compile t.schema q with
-  | None -> (empty_source, (fun () -> ()), ref 0, 0, 0, counters)
+  | None ->
+      { src = (fun () -> None); close = ignore; scanned; tablets = 0; pruned = 0;
+        counters }
   | Some compiled ->
       let asc = q.Query.direction = Query.Asc in
-      let scan =
-        open_scan ?projection:q.Query.projection ~counters t ~compiled
-          ~ts_min:q.Query.ts_min ~ts_max:q.Query.ts_max ~asc
+      let plan =
+        Mutexes.with_lock t.state (fun () ->
+            plan_locked t ~lo:compiled.Query.lo ?hi:compiled.Query.hi
+              ?ts_min:q.Query.ts_min ?ts_max:q.Query.ts_max)
       in
-      let scanned = ref 0 in
-      let staged, finish_stage =
-        maybe_stage ?prof t ~has_disk:(scan.referenced <> []) scan.sources
-      in
-      (match prof with
-      | Some pr -> pr.pr_plan_us <- Int64.sub (Clock.now t.clock) plan0
-      | None -> ());
-      let merged = Cursor.merge ~asc staged in
-      let filtered =
-        Cursor.filter_ts ~scanned ?ts_min:scan.eff_ts_min ?ts_max:q.Query.ts_max
-          merged
-      in
-      let released = ref false in
-      let release_once () =
-        if not !released then begin
-          released := true;
-          (* Cancel and join in-flight producers before dropping the
-             tablet refs they read through. *)
-          finish_stage ();
-          release t scan.referenced
+      let stop = ref ignore in
+      let closed = ref false in
+      let close () =
+        if not !closed then begin
+          closed := true;
+          Fun.protect !stop ~finally:(fun () -> finish t plan);
+          drain_doomed t
         end
       in
-      ( filtered,
-        release_once,
-        scanned,
-        List.length scan.referenced,
-        scan.considered - List.length scan.referenced,
-        counters )
+      let tablets = List.length plan.pinned in
+      (match
+         (* [projection] and [counters] thread through to {!Tablet.iter}
+            so columnar tablets decode only the referenced columns and
+            report pushdown tallies. *)
+         let sources =
+           Mutexes.with_lock t.state (fun () ->
+               List.map (mem_stream plan ~asc) plan.mems
+               @ List.map
+                   (disk_stream plan ~asc ?projection:q.Query.projection
+                      ~counters)
+                   (open_locked t plan.pinned))
+         in
+         let staged, finish_stage =
+           maybe_stage ?prof t ~has_disk:(plan.pinned <> []) sources
+         in
+         stop := finish_stage;
+         (match prof with
+         | Some pr -> pr.pr_plan_us <- Int64.sub (Clock.now t.clock) plan0
+         | None -> ());
+         plan_cursor plan ~scanned ~asc staged
+       with
+      | src ->
+          { src; close; scanned; tablets; pruned = plan.considered - tablets;
+            counters }
+      | exception e ->
+          close ();
+          raise e)
 
-let note_pushdown_counters t (c : Tablet.scan_counters) =
+(* Account a finished query: pushdown tallies, stats and its span. *)
+let note_query_done t ~t0 ~h0 ~m0 ~scanned ~returned ~tablets
+    (c : Tablet.scan_counters) =
   let fb = Atomic.get c.Tablet.sc_footer_blocks in
   let cd = Atomic.get c.Tablet.sc_cols_decoded in
   if fb > 0 || cd > 0 then
-    Stats.note_pushdown t.stats ~footer_blocks:fb ~columns:cd
+    Stats.note_pushdown t.stats ~footer_blocks:fb ~columns:cd;
+  Stats.note_query t.stats ~scanned ~returned;
+  obs_end t ~hist:t.instr.Obs.h_query ~op:Otrace.Query ~t0 ~h0 ~m0 ~scanned
+    ~returned ~tablets ()
 
 let query_iter t q =
   let t0, h0, m0 = obs_begin t in
-  let src, release_once, scanned, tablets, _pruned, counters = query_raw t q in
+  let sc = query_raw t q in
   let src =
-    match q.Query.limit with None -> src | Some n -> Cursor.take n src
+    match q.Query.limit with None -> sc.src | Some n -> Cursor.take n sc.src
   in
   let returned = ref 0 in
   let finished = ref false in
@@ -1059,12 +1163,14 @@ let query_iter t q =
           Some kv
       | None ->
           finished := true;
-          release_once ();
-          note_pushdown_counters t counters;
-          Stats.note_query t.stats ~scanned:!scanned ~returned:!returned;
-          obs_end t ~hist:t.instr.Obs.h_query ~op:Otrace.Query ~t0 ~h0 ~m0
-            ~scanned:!scanned ~returned:!returned ~tablets ();
+          sc.close ();
+          note_query_done t ~t0 ~h0 ~m0 ~scanned:!(sc.scanned)
+            ~returned:!returned ~tablets:sc.tablets sc.counters;
           None
+      | exception e ->
+          finished := true;
+          sc.close ();
+          raise e
     end
 
 type result = {
@@ -1076,12 +1182,8 @@ type result = {
 
 let query ?(profile = false) t (q : Query.t) =
   let t0, h0, m0 = obs_begin t in
-  let prof = if profile then Some (prof_acc_create ()) else None in
-  let pt0 = if profile then Clock.now t.clock else 0L in
-  let ph0, pm0 = if profile then cache_counts t else (0, 0) in
-  let src, release_once, scanned, tablets, pruned, counters =
-    query_raw ?prof t q
-  in
+  let prof = if profile then Some (prof_acc_create t) else None in
+  let sc = query_raw ?prof t q in
   let server_cap = t.config.Config.server_row_limit in
   let cap =
     match q.Query.limit with
@@ -1089,22 +1191,20 @@ let query ?(profile = false) t (q : Query.t) =
     | Some l -> min l server_cap
   in
   let rec collect acc n =
-    if n = 0 then (List.rev acc, src () <> None)
+    if n = 0 then (List.rev acc, sc.src () <> None)
     else begin
-      match src () with
+      match sc.src () with
       | None -> (List.rev acc, false)
       | Some (_, row) -> collect (row :: acc) (n - 1)
     end
   in
   let scan0 = if profile then Clock.now t.clock else 0L in
-  let rows, more = collect [] cap in
-  (* Joins in-flight producers, so worker busy totals are final. *)
-  release_once ();
-  let scanned = !scanned in
-  note_pushdown_counters t counters;
-  Stats.note_query t.stats ~scanned ~returned:(List.length rows);
-  obs_end t ~hist:t.instr.Obs.h_query ~op:Otrace.Query ~t0 ~h0 ~m0 ~scanned
-    ~returned:(List.length rows) ~tablets ();
+  (* [close] joins in-flight producers, so worker busy totals are final. *)
+  let rows, more = Fun.protect ~finally:sc.close (fun () -> collect [] cap) in
+  let scanned = !(sc.scanned) in
+  let returned = List.length rows in
+  note_query_done t ~t0 ~h0 ~m0 ~scanned ~returned ~tablets:sc.tablets
+    sc.counters;
   (* more_available signals only the server's own cap (§3.5): when the
      client asked for fewer rows than the server cap, hitting the client
      limit is not "more available" in the protocol sense. *)
@@ -1112,34 +1212,11 @@ let query ?(profile = false) t (q : Query.t) =
     more && (match q.Query.limit with None -> true | Some l -> l > server_cap)
   in
   let profile =
-    match prof with
-    | None -> None
-    | Some pr ->
-        let fin = Clock.now t.clock in
-        let h1, m1 = cache_counts t in
-        let scan_us, stall_us =
-          Mutexes.with_lock pr.pr_mutex (fun () ->
-              if pr.pr_staged then (pr.pr_scan_us, pr.pr_stall_us)
-              else (Int64.sub fin scan0, 0L))
-        in
-        Some
-          { Lt_obs.Profile.p_plan_us = pr.pr_plan_us;
-            p_scan_us = scan_us;
-            p_stall_us = stall_us;
-            p_total_us = Int64.sub fin pt0;
-            p_rows_scanned = scanned;
-            p_rows_returned = List.length rows;
-            p_tablets = tablets;
-            p_tablets_pruned = pruned;
-            (* Blooms serve only the [latest] point-lookup path (§3.4.5);
-               a range scan never consults them. *)
-            p_bloom_skips = 0;
-            p_cache_hits = h1 - ph0;
-            p_cache_misses = m1 - pm0;
-            p_blocks_footer_answered =
-              Atomic.get counters.Tablet.sc_footer_blocks;
-            p_columns_decoded = Atomic.get counters.Tablet.sc_cols_decoded;
-            p_shards = [] }
+    Option.map
+      (fun pr ->
+        profile_of t pr ~scan0 ~scanned ~returned ~tablets:sc.tablets
+          ~pruned:sc.pruned sc.counters)
+      prof
   in
   { rows; more_available; scanned; profile }
 
@@ -1158,8 +1235,7 @@ let query ?(profile = false) t (q : Query.t) =
    worker pool — so results are identical at any [query_domains]. *)
 let query_agg ?(profile = false) t (q : Query.t) ~specs =
   let t0, h0, m0 = obs_begin t in
-  let pt0 = if profile then Clock.now t.clock else 0L in
-  let ph0, pm0 = if profile then cache_counts t else (0, 0) in
+  let prof = if profile then Some (prof_acc_create t) else None in
   let counters = Tablet.fresh_counters () in
   let accs = Array.map (fun _ -> Agg.fresh_acc ()) specs in
   let scanned = ref 0 in
@@ -1183,294 +1259,140 @@ let query_agg ?(profile = false) t (q : Query.t) ~specs =
     match Query.compile t.schema q with
     | None -> (0, 0)
     | Some compiled ->
-        let mem_sources, mem_spans, readers, eff_ts_min, considered =
-          Mutexes.with_lock t.state (fun () ->
-              let cutoff = ttl_cutoff_locked t in
-              let eff_ts_min =
-                match (q.Query.ts_min, cutoff) with
-                | None, c -> c
-                | (Some _ as m), None -> m
-                | Some m, Some c -> Some (max m c)
-              in
-              let ts_overlaps ~lo ~hi =
-                (match eff_ts_min with None -> true | Some b -> hi >= b)
-                &&
-                match q.Query.ts_max with
-                | None -> true
-                | Some b -> lo <= b
-              in
-              let key_overlaps ~min_key ~max_key =
-                String.compare compiled.Query.lo max_key <= 0
-                &&
-                match compiled.Query.hi with
-                | None -> true
-                | Some h -> String.compare h min_key > 0
-              in
-              let mems =
-                List.filter
-                  (fun m ->
-                    match Memtable.ts_range m with
-                    | Some (lo, hi) -> ts_overlaps ~lo ~hi
-                    | None -> false)
-                  (t.filling @ t.frozen)
-              in
-              let mem_sources =
-                List.map
-                  (fun m ->
-                    let snap = Memtable.snapshot m in
-                    let it =
-                      Avl.iter_asc ~lo:compiled.Query.lo ?hi:compiled.Query.hi
-                        snap
-                    in
-                    (Memtable.id m, fun () -> Avl.next it))
-                  mems
-              in
-              let mem_spans =
-                List.filter_map
-                  (fun m ->
-                    match (Memtable.min_key m, Memtable.max_key m) with
-                    | Some a, Some b -> Some (a, b)
-                    | _ -> None)
-                  mems
-              in
-              let selected =
-                List.filter
-                  (fun dt ->
-                    let m = dt.meta in
-                    ts_overlaps ~lo:m.Descriptor.min_ts
-                      ~hi:m.Descriptor.max_ts
-                    && key_overlaps ~min_key:m.Descriptor.min_key
-                         ~max_key:m.Descriptor.max_key)
-                  t.disk
-              in
-              List.iter (fun dt -> dt.refs <- dt.refs + 1) selected;
-              let readers =
-                List.map (fun dt -> (dt, get_reader_locked t dt)) selected
-              in
-              (mem_sources, mem_spans, readers, eff_ts_min,
-               List.length t.disk))
-        in
-        Fun.protect
-          ~finally:(fun () -> release t (List.map fst readers))
-          (fun () ->
-            let arr = Array.of_list readers in
-            let n = Array.length arr in
-            let span i =
-              let dt, _ = arr.(i) in
+        with_plan t ~lo:compiled.Query.lo ?hi:compiled.Query.hi
+          ?ts_min:q.Query.ts_min ?ts_max:q.Query.ts_max (fun plan ->
+            let span dt =
               (dt.meta.Descriptor.min_key, dt.meta.Descriptor.max_key)
             in
-            let disjoint (a_lo, a_hi) (b_lo, b_hi) =
-              String.compare a_hi b_lo < 0 || String.compare b_hi a_lo < 0
+            let spans =
+              List.map (fun m -> (m.mem_min_key, m.mem_max_key)) plan.mems
+              @ List.map span plan.pinned
             in
-            let pushable i =
-              let s = span i in
-              List.for_all (disjoint s) mem_spans
-              &&
-              let ok = ref true in
-              for j = 0 to n - 1 do
-                if j <> i && not (disjoint s (span j)) then ok := false
-              done;
-              !ok
+            let meet (a_lo, a_hi) (b_lo, b_hi) =
+              String.compare a_hi b_lo >= 0 && String.compare b_hi a_lo >= 0
             in
+            (* A tablet's span meets itself and, if pushable, nothing else. *)
+            let pushable dt = List.length (List.filter (meet (span dt)) spans) = 1 in
             let ts_lo =
-              match eff_ts_min with None -> Int64.min_int | Some v -> v
+              match plan.ts_min with None -> Int64.min_int | Some v -> v
             in
             let ts_hi =
-              match q.Query.ts_max with None -> Int64.max_int | Some v -> v
+              match plan.ts_max with None -> Int64.max_int | Some v -> v
             in
-            let residue = ref [] in
-            for i = n - 1 downto 0 do
-              let dt, r = arr.(i) in
-              if pushable i then
-                Tablet.fold_aggs r ~counters ~lo:(Some compiled.Query.lo)
-                  ~hi:compiled.Query.hi ~ts_min:ts_lo ~ts_max:ts_hi ~specs
-                  ~accs ()
-              else
-                residue :=
-                  ( dt.meta.Descriptor.id,
-                    Tablet.iter r ~form:Tablet.Decoded ~asc:true
-                      ~lo:compiled.Query.lo
-                      ?hi:compiled.Query.hi ~projection:needed ~counters () )
-                  :: !residue
-            done;
-            (match mem_sources @ !residue with
-            | [] -> ()
-            | sources ->
-                let src =
-                  Cursor.filter_ts ~scanned ?ts_min:eff_ts_min
-                    ?ts_max:q.Query.ts_max
-                    (Cursor.merge ~asc:true sources)
-                in
-                Cursor.fold (fun () (_, row) -> feed_row row) () src);
-            (List.length readers, considered - List.length readers))
+            (* Last to first, as the accumulators have always been fed. *)
+            let residue =
+              List.fold_right
+                (fun ((dt, r) as p) residue ->
+                  if pushable dt then begin
+                    Tablet.fold_aggs r ~counters ~lo:(Some plan.lo) ~hi:plan.hi
+                      ~ts_min:ts_lo ~ts_max:ts_hi ~specs ~accs ();
+                    residue
+                  end
+                  else
+                    disk_stream plan ~asc:true ~projection:needed ~counters p
+                    :: residue)
+                (Mutexes.with_lock t.state (fun () -> open_locked t plan.pinned))
+                []
+            in
+            Cursor.fold
+              (fun () (_, row) -> feed_row row)
+              ()
+              (plan_cursor plan ~scanned ~asc:true
+                 (List.map (mem_stream plan ~asc:true) plan.mems @ residue));
+            let n = List.length plan.pinned in
+            (n, plan.considered - n))
   in
-  note_pushdown_counters t counters;
-  Stats.note_query t.stats ~scanned:!scanned ~returned:1;
-  obs_end t ~hist:t.instr.Obs.h_query ~op:Otrace.Query ~t0 ~h0 ~m0
-    ~scanned:!scanned ~returned:1 ~tablets ();
+  note_query_done t ~t0 ~h0 ~m0 ~scanned:!scanned ~returned:1 ~tablets counters;
   let results = Array.mapi (fun i s -> Agg.result s.Agg.a_fn accs.(i)) specs in
-  let prof =
-    if not profile then None
-    else begin
-      let fin = Clock.now t.clock in
-      let h1, m1 = cache_counts t in
-      Some
-        { Lt_obs.Profile.p_plan_us = 0L;
-          p_scan_us = Int64.sub fin pt0;
-          p_stall_us = 0L;
-          p_total_us = Int64.sub fin pt0;
-          p_rows_scanned = !scanned;
-          p_rows_returned = 1;
-          p_tablets = tablets;
-          p_tablets_pruned = pruned;
-          p_bloom_skips = 0;
-          p_cache_hits = h1 - ph0;
-          p_cache_misses = m1 - pm0;
-          p_blocks_footer_answered =
-            Atomic.get counters.Tablet.sc_footer_blocks;
-          p_columns_decoded = Atomic.get counters.Tablet.sc_cols_decoded;
-          p_shards = [] }
-    end
-  in
-  (results, prof)
+  ( results,
+    Option.map
+      (fun pr ->
+        profile_of t pr ~scan0:pr.pr_t0 ~scanned:!scanned ~returned:1 ~tablets
+          ~pruned counters)
+      prof )
 
 (* ------------------------------------------------------------------ *)
 (* Latest row for a key prefix (§3.4.5)                                *)
 (* ------------------------------------------------------------------ *)
 
-type span_item =
-  | In_mem of Memtable.t * int64 * int64
-  | On_disk of disk_tablet
-
-let item_span = function
-  | In_mem (_, lo, hi) -> (lo, hi)
-  | On_disk dt -> (dt.meta.Descriptor.min_ts, dt.meta.Descriptor.max_ts)
-
 let latest t prefix_values =
   let t0, h0, m0 = obs_begin t in
   let prefix = Key_codec.encode_prefix t.schema prefix_values in
-  let hi = Key_codec.prefix_succ prefix in
   let full_prefix =
     List.length prefix_values = Array.length (Schema.pkey t.schema) - 1
   in
-  let items, cutoff =
-    Mutexes.with_lock t.state (fun () ->
-        let mem_items =
-          List.filter_map
-            (fun m ->
-              match Memtable.ts_range m with
-              | Some (lo, hi) -> Some (In_mem (m, lo, hi))
-              | None -> None)
-            (t.filling @ t.frozen)
-        in
-        let disk_items = List.map (fun dt -> On_disk dt) t.disk in
+  let scanned = ref 0 in
+  let result, tablets =
+    with_plan t ~lo:prefix ?hi:(Key_codec.prefix_succ prefix) (fun plan ->
+        (* Every source with its timespan, oldest first. *)
         let items =
           List.sort
-            (fun a b ->
-              let la, _ = item_span a and lb, _ = item_span b in
-              Int64.compare la lb)
-            (mem_items @ disk_items)
+            (fun (a, _, _) (b, _, _) -> Int64.compare a b)
+            (List.map
+               (fun m -> (m.mem_min_ts, m.mem_max_ts, Either.Left m))
+               plan.mems
+            @ List.map
+                (fun dt ->
+                  let m = dt.meta in
+                  (m.Descriptor.min_ts, m.Descriptor.max_ts, Either.Right dt))
+                plan.pinned)
         in
-        List.iter
-          (function On_disk dt -> dt.refs <- dt.refs + 1 | In_mem _ -> ())
-          items;
-        (items, ttl_cutoff_locked t))
-  in
-  let refs =
-    List.filter_map (function On_disk dt -> Some dt | In_mem _ -> None) items
-  in
-  Fun.protect
-    ~finally:(fun () -> release t refs)
-    (fun () ->
-      (* Group items whose timespans overlap; within a group timespans
-         cannot be ordered, so the group is searched as one unit. *)
-      let groups =
-        List.fold_left
-          (fun groups item ->
-            let lo, hi = item_span item in
-            match groups with
-            | (ghi, members) :: rest when lo <= ghi ->
-                (max ghi hi, item :: members) :: rest
-            | _ -> (hi, [ item ]) :: groups)
-          [] items
-      in
-      (* [groups] is now newest-first. *)
-      let scanned = ref 0 in
-      let search_group members =
-        let sources =
-          List.filter_map
-            (fun item ->
-              match item with
-              | In_mem (m, _, _) ->
-                  let it = Avl.iter_desc ~lo:prefix ?hi (Memtable.snapshot m) in
-                  Some (Memtable.id m, fun () -> Avl.next it)
-              | On_disk dt ->
-                  if Tablet.may_contain_prefix
-                       (Mutexes.with_lock t.state (fun () -> get_reader_locked t dt))
-                       prefix
-                  then
-                    let r = Mutexes.with_lock t.state (fun () -> get_reader_locked t dt) in
-                    Some
-                      (dt.meta.Descriptor.id,
-                         Tablet.iter r ~form:Tablet.Decoded ~asc:false
-                           ~lo:prefix ?hi ())
-                  else None)
-            members
+        (* Group items whose timespans overlap; within a group timespans
+           cannot be ordered, so the group is searched as one unit. *)
+        let groups =
+          List.fold_left
+            (fun groups ((lo, hi, _) as item) ->
+              match groups with
+              | (ghi, members) :: rest when lo <= ghi ->
+                  (max ghi hi, item :: members) :: rest
+              | _ -> (hi, [ item ]) :: groups)
+            [] items
         in
-        if sources = [] then None
-        else begin
-          let has_disk =
-            List.exists
-              (function On_disk _ -> true | In_mem _ -> false)
-              members
+        (* [groups] is now newest-first. A group's tablets are opened
+           only when it is searched; one whose Bloom filter rules the
+           prefix out holds no candidate row, so it is left out. *)
+        let search_group (_, members) =
+          let mems, dts = List.partition_map (fun (_, _, m) -> m) members in
+          let sources =
+            List.map (mem_stream plan ~asc:false) mems
+            @ Mutexes.with_lock t.state (fun () ->
+                  List.filter_map
+                    (fun ((_, r) as p) ->
+                      if Tablet.may_contain_prefix r prefix then
+                        Some (disk_stream plan ~asc:false p)
+                      else None)
+                    (open_locked t dts))
           in
-          let staged, finish_stage = maybe_stage t ~has_disk sources in
-          (* The inner protect joins producers before the outer protect
-             releases the tablet refs they read through; a full-prefix
-             hit on the first row cancels the rest of the group's
-             workers. *)
+          let staged, finish_stage =
+            maybe_stage t ~has_disk:(dts <> []) sources
+          in
+          (* Joins this group's producers before [finish] releases the
+             tablets they read through; a full-prefix hit on the first
+             row cancels the rest of the group's workers. *)
           Fun.protect ~finally:finish_stage (fun () ->
-              let src =
-                Cursor.filter_ts ~scanned ?ts_min:cutoff
-                  (Cursor.merge ~asc:false staged)
-              in
+              let src = plan_cursor plan ~scanned ~asc:false staged in
               if full_prefix then
                 (* Keys sharing all non-ts columns differ only in ts, and
                    ts is the last key column, so descending key order is
                    descending ts order: the first hit is the latest. *)
                 Option.map snd (src ())
-              else begin
-                let best = ref None in
-                let rec go () =
-                  match src () with
-                  | None -> ()
-                  | Some (key, row) ->
-                      let ts = Key_codec.ts_of_key key in
-                      (match !best with
-                      | Some (bts, _) when bts >= ts -> ()
-                      | _ -> best := Some (ts, row));
-                      go ()
-                in
-                go ();
-                Option.map snd !best
-              end)
-        end
-      in
-      let rec try_groups = function
-        | [] -> None
-        | (_, members) :: rest -> (
-            match search_group members with
-            | Some row -> Some row
-            | None -> try_groups rest)
-      in
-      let result = try_groups groups in
-      Stats.note_query t.stats ~scanned:!scanned
-        ~returned:(if result = None then 0 else 1);
-      obs_end t ~hist:t.instr.Obs.h_latest ~op:Otrace.Latest ~t0 ~h0 ~m0
-        ~scanned:!scanned
-        ~returned:(if result = None then 0 else 1)
-        ~tablets:(List.length refs) ();
-      result)
+              else
+                Cursor.fold
+                  (fun best (key, row) ->
+                    let ts = Key_codec.ts_of_key key in
+                    match best with
+                    | Some (bts, _) when bts >= ts -> best
+                    | _ -> Some (ts, row))
+                  None src
+                |> Option.map snd)
+        in
+        (List.find_map search_group groups, List.length plan.pinned))
+  in
+  let returned = if result = None then 0 else 1 in
+  Stats.note_query t.stats ~scanned:!scanned ~returned;
+  obs_end t ~hist:t.instr.Obs.h_latest ~op:Otrace.Latest ~t0 ~h0 ~m0
+    ~scanned:!scanned ~returned ~tablets ();
+  result
 
 (* ------------------------------------------------------------------ *)
 (* Merging (§3.4.1, §3.4.2)                                            *)
@@ -1486,36 +1408,33 @@ let columnar_output t ~now ~max_ts =
   let age = t.config.Config.columnar_age in
   age <> Int64.max_int && Int64.sub now max_ts >= age
 
-(* The write half of a merge or bulk-delete rewrite: copy the encoded
-   rows of [src] (value encodings under [schema]) into new tablet [id],
-   column-major when [max_ts] is old enough. [None] when [src] is empty
-   and nothing was kept. A failure abandons the partial file; the
-   inputs are untouched, so the caller can simply retry later. *)
-let write_rewrite t ~schema ~id ~expected_rows ~max_ts src =
-  let file = Descriptor.tablet_file id in
+(* The write half of a merge or bulk-delete rewrite of tablets [srcs]:
+   merge [streams] (their pinned rows, encoded under [schema]), drop
+   rows past the plan's TTL cutoff or failing [keep], and write the rest
+   to new tablet [id], column-major when the newest input row is old
+   enough. [None] when nothing was kept. *)
+let write_rewrite t plan ~id ~keep ~scanned srcs (schema, streams) =
+  let max_ts =
+    List.fold_left
+      (fun acc dt -> max acc dt.meta.Descriptor.max_ts)
+      Int64.min_int srcs
+  in
   let layout =
     if columnar_output t ~now:(now t) ~max_ts then Block.Col_major
     else Block.Row_major
   in
-  let writer =
-    Tablet.writer t.vfs ~path:(tablet_path t file) ~schema
-      ~block_size:t.config.Config.block_size
-      ~bloom_bits_per_key:t.config.Config.bloom_bits_per_key ~expected_rows
-      ~layout ()
-  in
-  try
-    let add n (key, value) =
-      Tablet.add writer ~key ~ts:(Key_codec.ts_of_key key) ~value;
-      n + 1
-    in
-    if Cursor.fold add 0 src = 0 then begin
-      Tablet.abandon writer;
-      None
-    end
-    else Some (meta_of_summary ~id ~file (Tablet.finish writer))
-  with e ->
-    Tablet.abandon writer;
-    raise e
+  write_tablet t ~id ~schema ~layout
+    ~expected_rows:
+      (List.fold_left (fun acc dt -> acc + dt.meta.Descriptor.row_count) 0 srcs)
+    (fun writer ->
+      let add n (key, value) =
+        if keep key then begin
+          Tablet.add writer ~key ~ts:(Key_codec.ts_of_key key) ~value;
+          n + 1
+        end
+        else n
+      in
+      Cursor.fold add 0 (plan_cursor plan ~scanned ~asc:true streams))
 
 (* Advance rollover bookkeeping and pick a merge candidate. Must be
    called with [state] held. *)
@@ -1556,122 +1475,45 @@ let merge_plan_locked t =
     inputs
 
 let merge_step_unlocked t =
-  let plan =
+  let picked =
     Mutexes.with_lock t.state (fun () ->
         match merge_plan_locked t with
         | None -> None
-        | Some plan ->
+        | Some mp ->
             let sources =
               List.filter_map
                 (fun id ->
                   List.find_opt (fun dt -> dt.meta.Descriptor.id = id) t.disk)
-                plan.Merge_policy.ids
+                mp.Merge_policy.ids
             in
-            List.iter (fun dt -> dt.refs <- dt.refs + 1) sources;
-            (* Streams are created under the same lock that reads the
-               schema, so their value encodings are under the schema
-               the output tablet is written with. *)
-            let iters =
-              List.map
-                (fun dt ->
-                  ( dt.meta.Descriptor.id,
-                    Tablet.iter (get_reader_locked t dt) ~form:Tablet.Encoded
-                      ~asc:true () ))
-                sources
-            in
-            let new_id = t.next_id in
-            t.next_id <- t.next_id + 1;
-            Some (sources, iters, t.schema, new_id, ttl_cutoff_locked t))
+            (* Sources wholly past the TTL are not read, only removed. *)
+            Some (sources, plan_locked t ~disk:sources, next_id_locked t))
   in
-  match plan with
+  match picked with
   | None -> false
-  | Some (sources, iters, schema, new_id, cutoff) ->
+  | Some (sources, plan, id) ->
       let t0, h0, m0 = obs_begin t in
-      let ok = ref false in
+      let scanned = ref 0 in
       Fun.protect
-        ~finally:(fun () -> release t sources)
+        ~finally:(fun () -> finish t plan)
         (fun () ->
-          let scanned = ref 0 in
-          let src =
-            Cursor.filter_ts ~scanned ?ts_min:cutoff
-              (Cursor.merge ~asc:true iters)
-          in
-          let expected_rows =
-            List.fold_left
-              (fun acc dt -> acc + dt.meta.Descriptor.row_count)
-              0 sources
-          in
-          let max_ts =
-            List.fold_left
-              (fun acc dt -> max acc dt.meta.Descriptor.max_ts)
-              Int64.min_int sources
-          in
           (* [None]: everything in the inputs had expired. *)
-          let new_meta =
-            write_rewrite t ~schema ~id:new_id ~expected_rows ~max_ts src
+          let meta =
+            write_rewrite t plan ~id ~keep:(fun _ -> true) ~scanned sources
+              (rewrite_streams t plan)
           in
           Mutexes.with_lock t.state (fun () ->
-              let n = now t in
-              let source_ids =
-                List.map (fun dt -> dt.meta.Descriptor.id) sources
-              in
-              let saved_disk = t.disk in
-              t.disk <-
-                List.filter
-                  (fun dt -> not (List.mem dt.meta.Descriptor.id source_ids))
-                  t.disk;
-              (match new_meta with
-              | None -> ()
-              | Some meta ->
-                  t.disk <-
-                    List.sort
-                      (fun a b ->
-                        match
-                          Int64.compare a.meta.Descriptor.min_ts
-                            b.meta.Descriptor.min_ts
-                        with
-                        | 0 -> Int.compare a.meta.Descriptor.id b.meta.Descriptor.id
-                        | c -> c)
-                      ({
-                         meta;
-                         reader = None;
-                         refs = 0;
-                         doomed = false;
-                         last_cls = Period.classify ~now:n meta.Descriptor.min_ts;
-                         eligible_at = Int64.add n t.config.Config.merge_delay;
-                       }
-                      :: t.disk));
-              (* Persist before dooming the sources: if the save fails
-                 they must stay live, or the deferred destroy triggered
-                 by [release] would delete files the durable descriptor
-                 still references. *)
-              (match save_descriptor_locked t with
-              | () -> ()
-              | exception e ->
-                  t.disk <- saved_disk;
-                  (match new_meta with
-                  | Some meta ->
-                      t.doomed_paths <-
-                        tablet_path t meta.Descriptor.file :: t.doomed_paths
-                  | None -> ());
-                  raise e);
-              List.iter (fun dt -> dt.doomed <- true) sources;
-              let bytes_in =
-                List.fold_left
-                  (fun acc dt -> acc + dt.meta.Descriptor.size)
-                  0 sources
-              in
-              let bytes_out =
-                match new_meta with None -> 0 | Some m -> m.Descriptor.size
-              in
-              Stats.note_merge t.stats ~bytes_in ~bytes_out);
+              commit_locked t ~remove:sources ~add:(Option.to_list meta);
+              Stats.note_merge t.stats
+                ~bytes_in:(total_size sources)
+                ~bytes_out:
+                  (match meta with None -> 0 | Some m -> m.Descriptor.size));
           obs_end t ~hist:t.instr.Obs.h_merge ~op:Otrace.Merge ~t0 ~h0 ~m0
             ~scanned:!scanned
             ~returned:
-              (match new_meta with None -> 0 | Some m -> m.Descriptor.row_count)
-            ~tablets:(List.length sources) ();
-          ok := true);
-      !ok
+              (match meta with None -> 0 | Some m -> m.Descriptor.row_count)
+            ~tablets:(List.length sources) ());
+      true
 
 let merge_step t =
   Fun.protect
@@ -1686,33 +1528,16 @@ let expire_unlocked t =
   Mutexes.with_lock t.state (fun () ->
       match ttl_cutoff_locked t with
       | None -> 0
-      | Some cutoff ->
-          let expired, live =
-            List.partition
-              (fun dt -> dt.meta.Descriptor.max_ts < cutoff)
-              t.disk
-          in
-          if expired = [] then 0
-          else begin
-            let saved_disk = t.disk in
-            t.disk <- live;
-            (* Persist before destroying: a failed save must leave the
-               expired tablets live, not delete files the durable
-               descriptor still references. *)
-            (match save_descriptor_locked t with
-            | () -> ()
-            | exception e ->
-                t.disk <- saved_disk;
-                raise e);
-            List.iter
-              (fun dt ->
-                dt.doomed <- true;
-                if dt.refs = 0 then destroy_tablet_locked t dt)
-              expired;
-            let n = List.length expired in
-            Stats.note_expired t.stats ~tablets:n;
-            n
-          end)
+      | Some cutoff -> (
+          match
+            List.filter (fun dt -> dt.meta.Descriptor.max_ts < cutoff) t.disk
+          with
+          | [] -> 0
+          | expired ->
+              commit_locked t ~remove:expired ~add:[];
+              let n = List.length expired in
+              Stats.note_expired t.stats ~tablets:n;
+              n))
 
 let expire t =
   Fun.protect
@@ -1723,179 +1548,72 @@ let expire t =
 (* Bulk delete (§7's planned privacy-compliance feature)               *)
 (* ------------------------------------------------------------------ *)
 
+(* A merge with a key filter, in one commit: memtables are rebuilt
+   without the range, and every tablet meeting it is removed, each
+   straddling one replaced by a rewrite without the range. As in a
+   merge, a tablet wholly past the TTL is removed unread. *)
 let delete_prefix t prefix_values =
   let lo = Key_codec.encode_prefix t.schema prefix_values in
-  let hi_opt = Key_codec.prefix_succ lo in
-  let in_range key =
-    String.compare key lo >= 0
-    && match hi_opt with None -> true | Some hi -> String.compare key hi < 0
+  let in_range key = String.starts_with ~prefix:lo key in
+  let deleted = ref 0 in
+  let keep key =
+    if in_range key then begin
+      incr deleted;
+      false
+    end
+    else true
+  in
+  let inside dt =
+    in_range dt.meta.Descriptor.min_key && in_range dt.meta.Descriptor.max_key
+  in
+  (* The span reaches [lo], and its first key at or past [lo] is in range. *)
+  let meets dt =
+    String.compare dt.meta.Descriptor.max_key lo >= 0
+    && in_range (max lo dt.meta.Descriptor.min_key)
   in
   Fun.protect ~finally:(fun () -> drain_doomed t) @@ fun () ->
-  Mutexes.with_lock t.writer_lock (fun () ->
-      Mutexes.with_lock t.maint_lock (fun () ->
-          let deleted = ref 0 in
-          (* Memtables: rebuild without the range. *)
-          Mutexes.with_lock t.state (fun () ->
-              let filter_mt mt =
-                let fresh =
-                  Memtable.create ~id:(Memtable.id mt)
-                    ~period:(Memtable.period mt)
-                    ~created_at:(Memtable.created_at mt)
-                in
-                let it = Avl.iter_asc (Memtable.snapshot mt) in
-                let rec go () =
-                  match Avl.next it with
-                  | None -> ()
-                  | Some (key, row) ->
-                      if in_range key then incr deleted
-                      else begin
-                        (match
-                           Memtable.insert fresh ~key
-                             ~ts:(Key_codec.ts_of_key key) row
-                         with
-                        | `Ok ->
-                            Memtable.add_bytes fresh
-                              (Row_codec.stored_size t.schema row)
-                        | `Duplicate -> assert false);
-                      end;
-                      go ()
-                in
-                go ();
-                fresh
-              in
-              let drop_empty mts =
-                List.filter_map
-                  (fun mt ->
-                    let fresh = filter_mt mt in
-                    if Memtable.row_count fresh = 0 then None else Some fresh)
-                  mts
-              in
-              t.filling <- drop_empty t.filling;
-              t.frozen <- drop_empty t.frozen;
-              let live_ids =
-                List.map Memtable.id (t.filling @ t.frozen)
-              in
-              (match t.last_insert_tablet with
-              | Some id when not (List.mem id live_ids) ->
-                  t.last_insert_tablet <- None
-              | _ -> ()));
-          (* Disk tablets overlapping the range. *)
-          let victims =
-            Mutexes.with_lock t.state (fun () ->
-                let vs =
-                  List.filter
-                    (fun dt ->
-                      let m = dt.meta in
-                      String.compare m.Descriptor.max_key lo >= 0
-                      && (match hi_opt with
-                         | None -> true
-                         | Some hi -> String.compare m.Descriptor.min_key hi < 0))
-                    t.disk
-                in
-                List.iter (fun dt -> dt.refs <- dt.refs + 1) vs;
-                vs)
-          in
-          let replacements =
-            (* On a failure mid-rewrite, drop the refs taken above so the
-               victims don't leak; files of replacements written so far
-               die unreferenced and are swept at the next open. *)
-            try
-              List.map
-                (fun dt ->
-                let m = dt.meta in
-                let fully_inside =
-                  String.compare m.Descriptor.min_key lo >= 0
-                  && (match hi_opt with
-                     | None -> true
-                     | Some hi -> String.compare m.Descriptor.max_key hi < 0)
-                in
-                if fully_inside then begin
-                  deleted := !deleted + m.Descriptor.row_count;
-                  (dt, None)
-                end
-                else begin
-                  (* Straddling tablet: rewrite it without the range. *)
-                  let reader, schema, new_id =
-                    Mutexes.with_lock t.state (fun () ->
-                        let r = get_reader_locked t dt in
-                        let id = t.next_id in
-                        t.next_id <- t.next_id + 1;
-                        (r, t.schema, id))
-                  in
-                  let it = Tablet.iter reader ~form:Tablet.Encoded ~asc:true () in
-                  let rec outside () =
-                    match it () with
-                    | Some (key, _) when in_range key ->
-                        incr deleted;
-                        outside ()
-                    | row -> row
-                  in
-                  ( dt,
-                    write_rewrite t ~schema ~id:new_id
-                      ~expected_rows:m.Descriptor.row_count
-                      ~max_ts:m.Descriptor.max_ts outside )
-                end)
-                victims
-            with e ->
-              Mutexes.with_lock t.state (fun () -> release_locked t victims);
-              raise e
-          in
-          (* Single atomic commit: persist first, doom and release the
-             victims only once the new descriptor is durable. On a
-             failed save the victims stay live and the replacement files
-             die unreferenced (swept at next open). *)
-          Mutexes.with_lock t.state (fun () ->
-              let n = now t in
-              let victim_ids =
-                List.map (fun (dt, _) -> dt.meta.Descriptor.id) replacements
-              in
-              let saved_disk = t.disk in
-              t.disk <-
-                List.filter
-                  (fun dt -> not (List.mem dt.meta.Descriptor.id victim_ids))
-                  t.disk;
-              List.iter
-                (fun (_, repl) ->
-                  match repl with
-                  | None -> ()
-                  | Some meta ->
-                      t.disk <-
-                        {
-                          meta;
-                          reader = None;
-                          refs = 0;
-                          doomed = false;
-                          last_cls = Period.classify ~now:n meta.Descriptor.min_ts;
-                          eligible_at = Int64.add n t.config.Config.merge_delay;
-                        }
-                        :: t.disk)
-                replacements;
-              t.disk <-
-                List.sort
-                  (fun a b ->
-                    match
-                      Int64.compare a.meta.Descriptor.min_ts b.meta.Descriptor.min_ts
-                    with
-                    | 0 -> Int.compare a.meta.Descriptor.id b.meta.Descriptor.id
-                    | c -> c)
-                  t.disk;
-              (match save_descriptor_locked t with
-              | () -> ()
-              | exception e ->
-                  t.disk <- saved_disk;
-                  List.iter
-                    (fun (_, repl) ->
-                      match repl with
-                      | None -> ()
-                      | Some meta ->
-                          t.doomed_paths <-
-                            tablet_path t meta.Descriptor.file :: t.doomed_paths)
-                    replacements;
-                  release_locked t (List.map fst replacements);
-                  raise e);
-              List.iter (fun (dt, _) -> dt.doomed <- true) replacements;
-              release_locked t (List.map fst replacements));
-          !deleted))
+  Mutexes.with_lock t.writer_lock @@ fun () ->
+  Mutexes.with_lock t.maint_lock @@ fun () ->
+  let victims, plan, rewrites =
+    Mutexes.with_lock t.state (fun () ->
+        let filter mts =
+          List.filter
+            (fun m -> Memtable.row_count m > 0)
+            (List.map (rebuild_memtable t ~from:t.schema ~keep) mts)
+        in
+        t.filling <- filter t.filling;
+        t.frozen <- filter t.frozen;
+        let live_ids = List.map Memtable.id (t.filling @ t.frozen) in
+        (match t.last_insert_tablet with
+        | Some id when not (List.mem id live_ids) ->
+            t.last_insert_tablet <- None
+        | _ -> ());
+        let victims = List.filter meets t.disk in
+        let whole, straddling = List.partition inside victims in
+        List.iter
+          (fun dt -> deleted := !deleted + dt.meta.Descriptor.row_count)
+          whole;
+        let plan = plan_locked t ~disk:straddling in
+        ( victims,
+          plan,
+          List.map (fun dt -> (dt, next_id_locked t)) plan.pinned ))
+  in
+  Fun.protect
+    ~finally:(fun () -> finish t plan)
+    (fun () ->
+      (* On a failure mid-rewrite, replacements written so far die
+         unreferenced and are swept at the next open. *)
+      let schema, streams = rewrite_streams t plan in
+      let add =
+        List.filter_map
+          (fun ((dt, id), stream) ->
+            write_rewrite t plan ~id ~keep ~scanned:(ref 0) [ dt ]
+              (schema, [ stream ]))
+          (List.combine rewrites streams)
+      in
+      Mutexes.with_lock t.state (fun () ->
+          commit_locked t ~remove:victims ~add));
+  !deleted
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance                                                         *)
@@ -1929,6 +1647,4 @@ let memtable_count t =
 
 let tablets t = Mutexes.with_lock t.state (fun () -> List.map (fun dt -> dt.meta) t.disk)
 
-let disk_size t =
-  Mutexes.with_lock t.state (fun () ->
-      List.fold_left (fun acc dt -> acc + dt.meta.Descriptor.size) 0 t.disk)
+let disk_size t = Mutexes.with_lock t.state (fun () -> total_size t.disk)

@@ -162,7 +162,8 @@ val expire : t -> int
     simplify compliance with regional privacy laws" (e.g. purge one
     customer). Tablets fully inside the range are unlinked; straddling
     tablets are rewritten without the range; memtables are filtered.
-    Atomic via one descriptor update. Returns rows deleted.
+    Atomic via one descriptor update. Returns rows deleted; rows of a
+    straddling tablet already past the TTL are dropped but not counted.
     @raise Schema.Invalid on a prefix/type mismatch. *)
 val delete_prefix : t -> Value.t list -> int
 

@@ -11,10 +11,11 @@ type workload =
   | Schema_change
   | Set_ttl
   | Sync_spare
+  | Delete_prefix
 
 let all_workloads =
   [ Insert_flush; Merge; Columnar_merge; Ttl_expiry; Schema_change; Set_ttl;
-    Sync_spare ]
+    Sync_spare; Delete_prefix ]
 
 let workload_name = function
   | Insert_flush -> "insert-flush"
@@ -24,6 +25,7 @@ let workload_name = function
   | Schema_change -> "schema-change"
   | Set_ttl -> "set-ttl"
   | Sync_spare -> "sync-spare"
+  | Delete_prefix -> "delete-prefix"
 
 type mode = Crash | Io_err
 
@@ -109,17 +111,21 @@ type ctx = {
       (** attempts known durable: set after each successful flush_all *)
   mutable extra_cols : int;
   mutable widened : bool;
+  mutable deleted : int list;
+      (** attempts a bulk delete was issued for: they may be missing *)
+  mutable deleted_acked : bool;
+      (** the delete and a later flush_all returned: they must be gone *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let mk_row ctx ~seq ~ts =
+let mk_row ctx ~network ~seq ~ts =
   let flags = if ctx.widened then Value.Int64 0L else Value.Int32 0l in
   let base =
     [
-      Value.Int64 1L;
+      Value.Int64 network;
       Value.Int64 (Int64.of_int seq);
       Value.Timestamp ts;
       Value.Int64 (Int64.of_int seq);
@@ -132,7 +138,7 @@ let mk_row ctx ~seq ~ts =
 (* Record the attempt before issuing it: a row the crash interrupts
    mid-insert may legitimately survive (it can ride an earlier closure's
    flush) even though the caller never saw an ack. *)
-let insert_rows ctx n =
+let insert_rows ?(network = fun _ -> 1L) ctx n =
   for _ = 1 to n do
     let seq = ctx.next_seq in
     let off = offsets.(Xorshift.int ctx.rng (Array.length offsets)) in
@@ -141,7 +147,7 @@ let insert_rows ctx n =
     in
     ctx.next_seq <- seq + 1;
     ctx.issued <- (seq, ts) :: ctx.issued;
-    Table.insert_row ctx.table (mk_row ctx ~seq ~ts)
+    Table.insert_row ctx.table (mk_row ctx ~network:(network seq) ~seq ~ts)
   done
 
 (* flush_all is strict: when it returns, every attempt so far is in a
@@ -222,6 +228,24 @@ let run ctx = function
       ignore
         (Sync.until_stable ~src:ctx.vfs ~src_dir:dir ~dst:ctx.vfs
            ~dst_dir:spare_dir ())
+  | Delete_prefix ->
+      (* Network 2 is deleted. The first generation holds only network 2
+         (tablets wholly inside the range), the second mixes networks
+         1-3 (tablets straddling it), and the third is still in
+         memtables when the delete runs. *)
+      let network seq = if seq < 6 then 2L else Int64.of_int (1 + (seq mod 3)) in
+      insert_rows ~network ctx 6;
+      flush_note ctx;
+      insert_rows ~network ctx 9;
+      flush_note ctx;
+      insert_rows ~network ctx 6;
+      ctx.deleted <-
+        List.filter_map
+          (fun (seq, _) -> if network seq = 2L then Some seq else None)
+          ctx.issued;
+      ignore (Table.delete_prefix ctx.table [ Value.Int64 2L ]);
+      flush_note ctx;
+      ctx.deleted_acked <- true
 
 (* ------------------------------------------------------------------ *)
 (* Invariant                                                           *)
@@ -276,15 +300,24 @@ let check_table ctx ~floor ~label t =
           in
           let missing = ref None in
           for s = 0 to m - 1 do
-            if !missing = None && visible s && not (Hashtbl.mem survived s)
+            if
+              !missing = None && visible s
+              && (not (List.mem s ctx.deleted))
+              && not (Hashtbl.mem survived s)
             then missing := Some s
           done;
-          match !missing with
-          | Some s ->
+          let undeleted =
+            if ctx.deleted_acked then
+              List.find_opt (fun s -> List.mem s ctx.deleted) sorted
+            else None
+          in
+          match (!missing, undeleted) with
+          | Some s, _ ->
               fail "row %d lost below the durable prefix (prefix height %d, \
                     floor %d)"
                 s m floor
-          | None ->
+          | None, Some s -> fail "row %d survived an acknowledged delete" s
+          | None, None ->
               (* Hygiene: only the descriptor, referenced tablets, and
                  quarantined files may remain after the open sweep. *)
               let referenced =
@@ -400,6 +433,8 @@ let run_once ~inject ~seed w =
           floor = 0;
           extra_cols = 0;
           widened = false;
+          deleted = [];
+          deleted_acked = false;
         }
       in
       let outcome =

@@ -30,6 +30,9 @@ type workload =
   | Schema_change  (** add a column and widen an int32 mid-stream *)
   | Set_ttl  (** descriptor-only updates between flushes *)
   | Sync_spare  (** {!Lt_vfs.Sync.until_stable} onto a warm spare *)
+  | Delete_prefix
+      (** [Table.delete_prefix] over tablets wholly inside the range,
+          tablets straddling it and memtable rows, then a flush *)
 
 val all_workloads : workload list
 val workload_name : workload -> string

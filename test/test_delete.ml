@@ -107,6 +107,30 @@ let test_delete_then_latest_and_merge () =
   Alcotest.(check bool) "still gone after merge" true
     (List.for_all (fun (net, _, _, _) -> net <> 1L) (all_tuples t))
 
+(* Tablets meeting the range whose rows have all passed the TTL are
+   removed by the delete, not left to expiry: raising or clearing the
+   TTL afterwards must not bring deleted rows back. *)
+let test_delete_expired_stays_deleted () =
+  let _, clock, _, t = fresh () in
+  Table.set_ttl t (Some Lt_util.Clock.hour);
+  let ts = Support.ts0 in
+  (* One tablet wholly inside network 2, one straddling networks 1-3. *)
+  Table.insert t (List.init 4 (fun d -> row 2L (Int64.of_int d) ts));
+  Table.flush_all t;
+  Table.insert t
+    (List.concat_map
+       (fun net -> List.init 4 (fun d -> row net (Int64.of_int d) (Int64.succ ts)))
+       [ 1L; 2L; 3L ]);
+  Table.flush_all t;
+  Alcotest.(check int) "two tablets" 2 (Table.tablet_count t);
+  Lt_util.Clock.advance clock (Int64.mul 2L Lt_util.Clock.hour);
+  (* The inside tablet counts its rows; the straddling one is removed
+     unread, like a merge source past the TTL, so its rows do not. *)
+  Alcotest.(check int) "deleted count" 4 (Table.delete_prefix t [ Value.Int64 2L ]);
+  Alcotest.(check int) "both removed" 0 (Table.tablet_count t);
+  Table.set_ttl t None;
+  Alcotest.(check int) "nothing comes back" 0 (List.length (all_tuples t))
+
 (* ---- SQL layer --------------------------------------------------------- *)
 
 let sql_setup () =
@@ -261,6 +285,7 @@ let suite =
     ("delete survives reopen", `Quick, test_delete_survives_reopen);
     ("delete type mismatch", `Quick, test_delete_type_mismatch);
     ("delete then latest / merge", `Quick, test_delete_then_latest_and_merge);
+    ("delete past the ttl stays deleted", `Quick, test_delete_expired_stays_deleted);
     ("sql: DELETE", `Quick, test_sql_delete);
     ("sql: ALTER TABLE", `Quick, test_sql_alter);
     ("net: delete and alter over TCP", `Quick, test_net_delete_and_alter);

@@ -258,8 +258,14 @@ let test_latest_respects_ttl () =
   let now = Clock.now clock in
   Table.insert_row t (row 1L 1L (Int64.sub now (Int64.mul 2L Clock.week)));
   Table.flush_all t;
+  let scanned () = (Table.stats t).Stats.rows_scanned in
   Alcotest.(check bool) "expired row invisible" true
-    (Table.latest t [ Value.Int64 1L; Value.Int64 1L ] = None)
+    (Table.latest t [ Value.Int64 1L; Value.Int64 1L ] = None);
+  (* Like a query, latest prunes a tablet whose rows have all expired
+     instead of reading it. *)
+  Alcotest.(check int) "latest scans no expired tablet" 0 (scanned ());
+  ignore (Table.query t Query.all);
+  Alcotest.(check int) "neither does a query" 0 (scanned ())
 
 let test_latest_searches_far_past () =
   let _, clock, _, t = fresh () in
@@ -273,6 +279,77 @@ let test_latest_searches_far_past () =
   match Table.latest t [ Value.Int64 1L; Value.Int64 1L ] with
   | Some r -> Alcotest.(check int64) "found in old group" 7L (Support.int64_of_cell r.(3))
   | None -> Alcotest.fail "missed old row"
+
+(* A read that fails on an I/O error must still drop every tablet pin:
+   a leaked pin keeps a merged-away tablet file on disk for good. Each
+   read fails once opening cold readers and once mid-scan on warm ones
+   (no block cache, so the scan must read), sequentially and staged on
+   a worker pool; a clean merge afterwards must leave only the
+   descriptor and the live tablets in the directory. *)
+let test_failed_reads_release_pins () =
+  let drain src =
+    let rec go () = match src () with Some _ -> go () | None -> () in
+    go ()
+  in
+  let reads =
+    [ ("query", fun t -> ignore (Table.query t Query.all));
+      ("query_iter", fun t -> drain (Table.query_iter t Query.all));
+      ( "query_agg",
+        fun t ->
+          ignore
+            (Table.query_agg t Query.all
+               ~specs:[| { Agg.a_fn = Agg.Sum; a_col = Some 3 } |]) );
+      ("latest", fun t -> ignore (Table.latest t [ Value.Int64 1L ]));
+      ("merge_step", fun t -> ignore (Table.merge_step t)) ]
+  in
+  let case (name, read) fault domains =
+    let ctx = Printf.sprintf "%s, %s fault, query_domains=%d" name fault domains in
+    let failing = ref false in
+    let vfs =
+      Lt_vfs.Vfs.faulty
+        ~should_fail:(fun ~op ~path:_ -> !failing && op = fault)
+        (Lt_vfs.Vfs.memory ())
+    in
+    let config =
+      Config.make ~block_size:1024 ~flush_size:(8 * 1024)
+        ~max_tablet_size:(64 * 1024) ~merge_delay:0L ~rollover_spread:0.0
+        ~cache_bytes:0 ~query_domains:domains ()
+    in
+    let clock = Clock.manual ~start:Support.ts0 () in
+    let db = Db.open_ ~config ~clock ~vfs ~dir:"dbroot" () in
+    Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+    let t = Db.create_table db "usage" (schema ()) ~ttl:None in
+    (* Two tablets of one old week whose keys and timespans interleave,
+       so every read and the merge touch both. *)
+    let base = Int64.sub (Clock.now clock) (Int64.mul 3L Clock.week) in
+    for gen = 0 to 1 do
+      Table.insert t
+        (List.init 40 (fun i ->
+             row 1L (Int64.of_int i) (Int64.add base (Int64.of_int ((2 * i) + gen)))));
+      Table.flush_all t
+    done;
+    Alcotest.(check int) (ctx ^ ": two tablets") 2 (Table.tablet_count t);
+    if fault = "pread" then ignore (Table.query t Query.all);
+    failing := true;
+    (match read t with
+    | () -> Alcotest.failf "%s: the injected fault never fired" ctx
+    | exception Lt_vfs.Vfs.Io_error _ -> ());
+    failing := false;
+    Alcotest.(check bool) (ctx ^ ": clean merge") true (Table.merge_step t);
+    let live =
+      Descriptor.file_name
+      :: List.map (fun m -> m.Descriptor.file) (Table.tablets t)
+    in
+    Alcotest.(check (list string)) (ctx ^ ": only live files")
+      (List.sort compare live)
+      (List.sort compare (Lt_vfs.Vfs.readdir vfs (Table.dir t)))
+  in
+  List.iter
+    (fun read ->
+      List.iter
+        (fun fault -> List.iter (case read fault) [ 0; 2 ])
+        [ "open"; "pread" ])
+    reads
 
 let test_schema_evolution_live () =
   let _, _, _, t = fresh () in
@@ -577,6 +654,7 @@ let suite =
     ("latest: full prefix", `Quick, test_latest_full_prefix);
     ("latest: respects ttl", `Quick, test_latest_respects_ttl);
     ("latest: searches far past", `Quick, test_latest_searches_far_past);
+    ("failed reads release their pins", `Quick, test_failed_reads_release_pins);
     ("schema evolution live", `Quick, test_schema_evolution_live);
     ("reopen from descriptor", `Quick, test_reopen_from_descriptor);
     ("flush by age", `Quick, test_flush_by_age);
