@@ -8,6 +8,8 @@
    - the write path's layers one at a time: LZ compression and CRC-32C
      of a 64 kB row block, and an N-tablet merge rewrite;
    - Figure 5/6 counterpart: cursor merge step and block binary search;
+   - the read path's layers one at a time: a shard's page build from a
+     cached tablet, a router's merge of three pages, a client's decode;
 
    Every input is built at module initialisation, outside the timed
    closures.
@@ -186,6 +188,65 @@ let test_query_point =
         in
         fun () -> ignore (Table.query table (Query.prefix prefix))))
 
+(* The read path, one layer at a time, over 128 B rows: a shard builds
+   a page of encoded rows from a cached tablet, a router merges three
+   shards' pages on key bytes, and the client decodes the result. *)
+let page_rows = 1024
+
+let test_shard_page =
+  Test.make
+    ~name:(Printf.sprintf "read: shard page build (%d rows, cached)" page_rows)
+    (Staged.stage
+       (let env = Support.make_env () in
+        let table = Db.create_table env.Support.db "micropage" schema ~ttl:None in
+        let rng = Lt_util.Xorshift.create 7L in
+        Table.insert table
+          (Support.make_batch rng ~clock:env.Support.clock ~n:page_rows
+             ~row_size:128);
+        Table.flush_all table;
+        ignore (Table.query_page table Query.all);
+        fun () -> ignore (Table.query_page table Query.all)))
+
+(* Three shards' pages whose keys interleave, as a hash placement
+   spreads one key range. *)
+let shard_pages =
+  let rng = Lt_util.Xorshift.create 8L in
+  let rows =
+    List.init (3 * page_rows) (fun i ->
+        let row = Support.make_row rng ~ts:(Int64.of_int i) ~row_size:128 in
+        row.(0) <- Value.Int64 (Int64.of_int i);
+        row)
+  in
+  List.init 3 (fun s ->
+      let b = Buffer.create (page_rows * 160) in
+      List.iteri
+        (fun i row ->
+          if i mod 3 = s then
+            Row_page.add b ~key:(Key_codec.encode_key schema row)
+              ~value:(Row_codec.encode_value schema row))
+        rows;
+      Row_page.of_string schema ~count:page_rows (Buffer.contents b))
+
+let test_router_merge =
+  Test.make
+    ~name:(Printf.sprintf "read: router merge (3 pages x %d rows)" page_rows)
+    (Staged.stage (fun () ->
+         ignore
+           (Row_page.collect schema ~cap:(3 * page_rows)
+              (Cursor.merge ~asc:true
+                 (List.mapi (fun i p -> (i, Row_page.stream p)) shard_pages)))))
+
+let merged_page =
+  fst
+    (Row_page.collect schema ~cap:(3 * page_rows)
+       (Cursor.merge ~asc:true
+          (List.mapi (fun i p -> (i, Row_page.stream p)) shard_pages)))
+
+let test_client_decode =
+  Test.make
+    ~name:(Printf.sprintf "read: client page decode (%d rows)" (3 * page_rows))
+    (Staged.stage (fun () -> ignore (Row_page.rows merged_page)))
+
 let all_tests =
   Test.make_grouped ~name:"littletable"
     [
@@ -193,6 +254,7 @@ let all_tests =
       test_block_decode_search; test_lz_compress; test_lz_compress_rows;
       test_crc32c; test_merge; test_lz_roundtrip;
       test_bloom; test_hll; test_table_insert_batch; test_query_point;
+      test_shard_page; test_router_merge; test_client_decode;
     ]
 
 let run () =

@@ -128,7 +128,7 @@ let handler t req =
       (* Observability probes, like metadata, must not promote. *)
       Protocol.Metrics_snapshot []
   | Protocol.Get_trace _ when not (promoted t) -> Protocol.Trace_spans []
-  | req -> Server.handle (promote t) req
+  | req -> Server.handle_wire (promote t) req
 
 let backend t =
   {

@@ -282,58 +282,78 @@ let route_insert_raw t payload =
 
 (* ---- Queries ----------------------------------------------------------- *)
 
-(* A pull source over one shard's slice of the bounding box: pages
-   through capped [Row_batch]es with the adaptor's §3.5 resubmission
-   step, lazily — the merge pulls the next page only when needed. When
-   profiling, each page's backend profile is pushed onto [profs] under
-   this shard's index; [route_query] folds them per shard afterwards. *)
-let shard_source t shard table schema q ~profile ~profs scanned =
-  let q = { q with Query.limit = None } in
-  let next_q = ref (Some q) in
-  let buf = ref [] in
-  let rec pull () =
-    match !buf with
-    | row :: rest ->
-        buf := rest;
-        Some (Key_codec.encode_key schema row, row)
-    | [] -> (
-        match !next_q with
-        | None -> None
-        | Some q -> (
-            match
-              Cluster_client.request_read t.cc shard
-                (Protocol.Query { table; query = q; profile })
-            with
-            | Protocol.Row_batch { rows; more_available; scanned = s; profile = p }
-              ->
-                scanned := !scanned + s;
-                (match p with
-                | Some p ->
-                    let prev =
-                      Option.value ~default:[] (Hashtbl.find_opt profs shard)
-                    in
-                    Hashtbl.replace profs shard (p :: prev)
-                | None -> ());
-                buf := rows;
-                next_q :=
-                  (if more_available then
-                     match List.rev rows with
-                     | last :: _ -> Some (Client.advance_past schema q last)
-                     | [] -> None
-                   else None);
-                if rows = [] && !next_q = None then None else pull ()
-            | Protocol.Error msg -> err "%s" msg
-            | _ -> err "bad query response"))
-  in
-  pull
+(* One page of a shard's reply. Its scanned count is added to
+   [scanned]; when profiling, its backend profile is pushed onto
+   [profs] under the shard's index, and [route_query] folds them per
+   shard afterwards. *)
+let fetch_page t shard table q ~profile ~profs scanned =
+  match
+    Cluster_client.request_read t.cc shard
+      (Protocol.Query { table; query = q; profile })
+  with
+  | Protocol.Row_page { page; more_available; scanned = s; profile = p } ->
+      scanned := !scanned + s;
+      (match p with
+      | Some p ->
+          let prev = Option.value ~default:[] (Hashtbl.find_opt profs shard) in
+          Hashtbl.replace profs shard (p :: prev)
+      | None -> ());
+      (page, more_available)
+  | Protocol.Error msg -> err "%s" msg
+  | _ -> err "bad query response"
 
-(* Recombine the owning shards' ordered streams with the same k-way
-   merge the engine uses for tablets, then re-apply the single-node row
-   cap: [cap = min(limit, row_limit)] rows, one extra pull to learn
-   whether more rows exist, and [more_available] only when the client's
-   own limit did not bind first — byte-identical to
+(* One shard's slice of the bounding box as a pull source of encoded
+   rows, paged with the adaptor's §3.5 resubmission step. Every page
+   asks for at most [limit] rows; the shard may hold more when it said
+   so or when it stopped at that limit. The first page is fetched now,
+   so the caller sees every shard's schema before rows flow; the
+   returned function makes the stream under the reply's schema. Later
+   pages are fetched only when the merge pulls past the last one. *)
+let shard_source t shard table q ~limit ~profile ~profs scanned =
+  let fetch q = fetch_page t shard table q ~profile ~profs scanned in
+  let after q (page, more) =
+    if more || page.Row_page.count >= limit then
+      Option.map
+        (fun key -> Query.resume_after q (Array.to_list key))
+        (Row_page.last_key page)
+    else None
+  in
+  let q = { q with Query.limit = Some limit } in
+  let ((first, _) as reply) = fetch q in
+  let stream ~into =
+    let rows = ref (Row_page.stream ~into first) in
+    let next_q = ref (after q reply) in
+    let rec pull () =
+      match !rows () with
+      | Some _ as row -> row
+      | None -> (
+          match !next_q with
+          | None -> None
+          | Some q ->
+              let ((page, _) as reply) = fetch q in
+              rows := Row_page.stream ~into page;
+              next_q := after q reply;
+              pull ())
+    in
+    pull
+  in
+  (first.Row_page.schema, stream)
+
+(* Recombine the owning shards' ordered pages with the same k-way merge
+   the engine uses for tablets, comparing key bytes, then re-apply the
+   single-node row cap: [cap = min(limit, row_limit)] rows, one extra
+   pull to learn whether more rows exist, and [more_available] only when
+   the client's own limit did not bind first — byte-identical to
    [Table.query] on a single node holding all the rows, provided
-   [row_limit] equals that node's [server_row_limit]. *)
+   [row_limit] equals that node's [server_row_limit].
+
+   Rows are forwarded as the shards encoded them. The reply's schema is
+   the newest of the router's and the shards' first pages; a page under
+   an older one (a shard an add/widen-column has not reached yet) is
+   translated, so one reply has one schema. Each shard is asked for at
+   most [cap + 2] rows: the most the merge can take from one source is
+   the [cap] rows it returns, the pull that learns [more], and the
+   eager refill behind that pull. *)
 let route_query t table q ~profile =
   (* Profiling is an explicit per-query opt-in measured with the obs
      clock directly, so it works even on a [noop] (disabled) obs. *)
@@ -347,34 +367,37 @@ let route_query t table q ~profile =
     else None
   in
   let t0 = Obs.now_us t.obs in
-  let rows, more_available, scanned, prof =
+  let page, more_available, scanned, prof =
     Trace.with_ctx ctx (fun () ->
-        let schema = schema_of t table in
         let shards = Placement.shards_of_query t.placement q in
         observe_fanout t (List.length shards);
+        let cap =
+          match q.Query.limit with
+          | None -> t.row_limit
+          | Some l -> min l t.row_limit
+        in
         let scanned = ref 0 in
         let profs = Hashtbl.create 8 in
         let plan_done = if profile then Lt_util.Clock.now clock else 0L in
         let sources =
           List.map
             (fun s ->
-              (s, shard_source t s table schema q ~profile ~profs scanned))
+              ( s,
+                shard_source t s table q ~limit:(cap + 2) ~profile ~profs
+                  scanned ))
             shards
         in
-        let merged = Cursor.merge ~asc:(q.Query.direction = Query.Asc) sources in
-        let cap =
-          match q.Query.limit with
-          | None -> t.row_limit
-          | Some l -> min l t.row_limit
+        let schema =
+          List.fold_left
+            (fun acc (_, (sch, _)) ->
+              if Schema.version sch > Schema.version acc then sch else acc)
+            (schema_of t table) sources
         in
-        let rec collect acc n =
-          if n = 0 then (List.rev acc, merged () <> None)
-          else
-            match merged () with
-            | None -> (List.rev acc, false)
-            | Some (_, row) -> collect (row :: acc) (n - 1)
+        let merged =
+          Cursor.merge ~asc:(q.Query.direction = Query.Asc)
+            (List.map (fun (s, (_, stream)) -> (s, stream ~into:schema)) sources)
         in
-        let rows, more = collect [] cap in
+        let page, more = Row_page.collect schema ~cap merged in
         let more_available =
           more
           && (match q.Query.limit with None -> true | Some l -> l > t.row_limit)
@@ -402,11 +425,11 @@ let route_query t table q ~profile =
               { agg with
                 Profile.p_plan_us = Int64.sub plan_done pt0;
                 p_total_us = Int64.sub (Lt_util.Clock.now clock) pt0;
-                p_rows_returned = List.length rows;
+                p_rows_returned = page.Row_page.count;
                 p_shards = shard_profs }
           end
         in
-        (rows, more_available, !scanned, prof))
+        (page, more_available, !scanned, prof))
   in
   (match ctx with
   | Some c ->
@@ -417,13 +440,13 @@ let route_query t table q ~profile =
           sp_start_us = t0;
           sp_duration_us = Int64.max 0L (Int64.sub now t0);
           sp_scanned = scanned;
-          sp_returned = List.length rows;
+          sp_returned = page.Row_page.count;
           sp_tablets = 0;
           sp_cache_hits = 0;
           sp_cache_misses = 0;
           sp_ctx = Some c }
   | None -> ());
-  Protocol.Row_batch { rows; more_available; scanned; profile = prof }
+  Protocol.Row_page { page; more_available; scanned; profile = prof }
 
 (* ---- Latest ------------------------------------------------------------ *)
 
@@ -634,15 +657,6 @@ let rebalance t ~value ~to_shard =
            on the mutex we hold, so the copy cannot miss rows. *)
         List.iter
           (fun table ->
-            let schema =
-              match
-                Cluster_client.request_read t.cc from_shard
-                  (Protocol.Get_table table)
-              with
-              | Protocol.Table_info { schema; _ } -> schema
-              | Protocol.Error msg -> reb "%s" msg
-              | _ -> reb "bad table info response"
-            in
             (* Rows for [value] on the destination can only be debris of
                an earlier aborted rebalance; clear them so re-inserting
                the copy cannot hit duplicate-key errors. *)
@@ -660,7 +674,8 @@ let rebalance t ~value ~to_shard =
                 Cluster_client.request_read t.cc from_shard
                   (Protocol.Query { table; query = !q; profile = false })
               with
-              | Protocol.Row_batch { rows; more_available; _ } ->
+              | Protocol.Row_page { page; more_available; _ } ->
+                  let rows = Row_page.rows page in
                   (if rows <> [] then
                      match
                        Cluster_client.request_write t.cc to_shard
@@ -671,11 +686,10 @@ let rebalance t ~value ~to_shard =
                          reb "%s" message
                      | Protocol.Error msg -> reb "%s" msg
                      | _ -> reb "bad insert response");
-                  if more_available then
-                    match List.rev rows with
-                    | last :: _ -> q := Client.advance_past schema !q last
-                    | [] -> continue_ := false
-                  else continue_ := false
+                  (match (more_available, Row_page.last_key page) with
+                  | true, Some key ->
+                      q := Query.resume_after !q (Array.to_list key)
+                  | _ -> continue_ := false)
               | Protocol.Error msg -> reb "%s" msg
               | _ -> reb "bad query response"
             done)

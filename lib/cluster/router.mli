@@ -6,12 +6,16 @@
     Routing by request:
     - inserts are grouped by {!Placement.shard_of_row} and sub-batched
       to each owner;
-    - queries fan out to {!Placement.shards_of_query} and the shards'
-      ordered page streams are recombined with the engine's own
-      {!Littletable.Cursor.merge}, then re-capped — rows, order, and
-      [more_available] are byte-identical to a single node holding all
-      the rows (provided [row_limit] equals the backends'
-      [server_row_limit]); [scanned] and stats are summed across the
+    - queries fan out to {!Placement.shards_of_query}, each shard asked
+      for at most [cap + 2] rows per page ([cap] = the client's limit
+      capped by [row_limit]); the shards' ordered pages of encoded rows
+      ({!Littletable.Row_page}) are recombined on key bytes with the
+      engine's own {!Littletable.Cursor.merge}, forwarded undecoded and
+      re-capped — rows, order, and [more_available] are byte-identical
+      to a single node holding all the rows (provided [row_limit]
+      equals the backends' [server_row_limit]). A page under an older
+      schema than the newest seen is translated forward, so one reply
+      has one schema. [scanned] and stats are summed across the
       backend pages actually fetched;
     - [Latest] goes to the prefix's owner (or fans out for the empty
       prefix, keeping max-timestamp/larger-key, the single-node

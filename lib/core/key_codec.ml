@@ -6,12 +6,17 @@ let put_be64 buf x =
       (Char.chr (Int64.to_int (Int64.shift_right_logical x (i * 8)) land 0xff))
   done
 
+(* One bounds check and one load per fixed-width key column: these run
+   once per column of every row a reader decodes. *)
 let get_be64 cur =
-  let x = ref 0L in
-  for _ = 0 to 7 do
-    x := Int64.logor (Int64.shift_left !x 8) (Int64.of_int (Binio.get_u8 cur))
-  done;
-  !x
+  let pos = cur.Binio.pos in
+  Binio.skip cur 8;
+  String.get_int64_be cur.Binio.data pos
+
+let get_be32 cur =
+  let pos = cur.Binio.pos in
+  Binio.skip cur 4;
+  String.get_int32_be cur.Binio.data pos
 
 let flip_i64 x = Int64.logxor x Int64.min_int
 
@@ -35,7 +40,7 @@ let encode_string buf s =
     s;
   Buffer.add_char buf '\x00'
 
-let decode_string cur =
+let decode_escaped cur =
   let b = Buffer.create 16 in
   let rec go () =
     match Binio.get_u8 cur with
@@ -55,6 +60,26 @@ let decode_string cur =
         go ()
   in
   go ()
+
+(* The common string has no escaped byte before its terminator and is
+   sliced out whole; anything else is unescaped byte by byte. *)
+let decode_string cur =
+  let data = cur.Binio.data and start = cur.Binio.pos in
+  let limit = cur.Binio.limit in
+  let i = ref start in
+  while
+    !i < limit
+    &&
+    let c = String.get data !i in
+    c <> '\x00' && c <> '\x01'
+  do
+    incr i
+  done;
+  if !i < limit && String.get data !i = '\x00' then begin
+    Binio.skip cur (!i - start + 1);
+    String.sub data start (!i - start)
+  end
+  else decode_escaped cur
 
 let encode_value buf = function
   | Value.Int32 x ->
@@ -87,12 +112,7 @@ let key_size schema row =
 let decode_value ctype cur =
   match ctype with
   | Value.T_int32 ->
-      let x = ref 0l in
-      for _ = 0 to 3 do
-        x :=
-          Int32.logor (Int32.shift_left !x 8) (Int32.of_int (Binio.get_u8 cur))
-      done;
-      Value.Int32 (Int32.logxor !x Int32.min_int)
+      Value.Int32 (Int32.logxor (get_be32 cur) Int32.min_int)
   | Value.T_int64 -> Value.Int64 (flip_i64 (get_be64 cur))
   | Value.T_timestamp -> Value.Timestamp (flip_i64 (get_be64 cur))
   | Value.T_double -> Value.Double (double_of_ordered (get_be64 cur))

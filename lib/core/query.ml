@@ -42,6 +42,11 @@ let with_limit limit q = { q with limit = Some limit }
 
 let with_projection cols q = { q with projection = Some cols }
 
+let resume_after q key =
+  match q.direction with
+  | Asc -> { q with key_low = Excl key }
+  | Desc -> { q with key_high = Excl key }
+
 type compiled = { lo : string; hi : string option }
 
 let compile schema q =

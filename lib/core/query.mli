@@ -45,6 +45,11 @@ val with_limit : int -> t -> t
 (** Declare the columns the caller will read (see {!t.projection}). *)
 val with_projection : int list -> t -> t
 
+(** [resume_after q key] is the §3.5 resubmission step: [q] with the
+    bound on its direction's far side excluding every key that starts
+    with [key] (a full primary key: the last row received). *)
+val resume_after : t -> Value.t list -> t
+
 (** {1 Compilation}
 
     [compile schema q] translates the value-level bounds into encoded-key

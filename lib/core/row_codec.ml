@@ -13,18 +13,29 @@ let encode_value schema row =
 (* Decode the non-key columns from a bounded cursor; the cursor's window
    is the value encoding, whether it is a whole string or a slice of a
    block payload. *)
-let decode_cursor schema ~key cur =
+let decode_cursors schema ~kcur cur =
   let cols = Schema.columns schema in
+  let pkey = Schema.pkey schema in
   let row = Array.make (Array.length cols) (Value.Int32 0l) in
-  let kvs = Key_codec.decode_key schema key in
-  Array.iteri (fun ki col -> row.(col) <- kvs.(ki)) (Schema.pkey schema);
-  Array.iteri
-    (fun i col ->
-      if not (Schema.is_pkey schema i) then
-        row.(i) <- Value.decode col.Schema.ctype cur)
-    cols;
+  for ki = 0 to Array.length pkey - 1 do
+    let c = pkey.(ki) in
+    row.(c) <- Key_codec.decode_value cols.(c).Schema.ctype kcur
+  done;
+  Binio.expect_end kcur;
+  for i = 0 to Array.length cols - 1 do
+    if not (Schema.is_pkey schema i) then
+      row.(i) <- Value.decode cols.(i).Schema.ctype cur
+  done;
   Binio.expect_end cur;
   row
+
+let decode_cursor schema ~key cur =
+  decode_cursors schema ~kcur:(Binio.cursor key) cur
+
+let decode_entry schema ~data ~key_off ~key_len ~off ~len =
+  decode_cursors schema
+    ~kcur:(Binio.cursor ~pos:key_off ~len:key_len data)
+    (Binio.cursor ~pos:off ~len data)
 
 let decode schema ~key ~value = decode_cursor schema ~key (Binio.cursor value)
 

@@ -28,6 +28,13 @@ val decode_slice :
   Schema.t -> key:string -> data:string -> off:int -> len:int ->
   Value.t array
 
+(** [decode_entry schema ~data ~key_off ~key_len ~off ~len] is
+    {!decode_slice} with the key also a window of [data] — how a page
+    of rows is decoded without cutting out its keys. *)
+val decode_entry :
+  Schema.t -> data:string -> key_off:int -> key_len:int -> off:int ->
+  len:int -> Value.t array
+
 (** [decode_translated ~from ~into ~key ~value] decodes a row written
     under schema [from] and translates it to [into] (§3.5: cells are
     widened or filled with defaults; on-disk tablets are never

@@ -70,7 +70,15 @@ let find_column t name =
 
 let pkey_names t = Array.to_list (Array.map (fun i -> t.columns.(i).name) t.pkey)
 
-let is_pkey t i = Array.exists (fun j -> j = i) t.pkey
+(* A loop, not [Array.exists]: row codecs ask this once per column of
+   every row they encode or decode, and a closure is an allocation. *)
+let is_pkey t i =
+  let found = ref false and j = ref 0 in
+  while (not !found) && !j < Array.length t.pkey do
+    if t.pkey.(!j) = i then found := true;
+    incr j
+  done;
+  !found
 
 let validate_row t row =
   if Array.length row <> Array.length t.columns then

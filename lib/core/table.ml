@@ -529,10 +529,23 @@ let mem_stream plan ~asc m =
   let it = iter ~lo:plan.lo ?hi:plan.hi m.tree in
   (m.mem_id, fun () -> Avl.next it)
 
-let disk_stream plan ~asc ?projection ?counters (dt, r) =
+(* A memtable's rows in [form]: the tree holds decoded rows under
+   [schema], so an encoded stream encodes each row as it passes. *)
+let mem_stream_as (type a) (form : a Tablet.form) ~schema plan ~asc m :
+    int * a Cursor.stream =
+  let id, next = mem_stream plan ~asc m in
+  match form with
+  | Tablet.Decoded -> (id, next)
+  | Tablet.Encoded ->
+      ( id,
+        fun () ->
+          match next () with
+          | None -> None
+          | Some (key, row) -> Some (key, Row_codec.encode_value schema row) )
+
+let disk_stream plan ~form ~asc ?projection ?counters (dt, r) =
   ( dt.meta.Descriptor.id,
-    Tablet.iter r ~form:Tablet.Decoded ~asc ~lo:plan.lo ?hi:plan.hi ?projection
-      ?counters () )
+    Tablet.iter r ~form ~asc ~lo:plan.lo ?hi:plan.hi ?projection ?counters () )
 
 (* The plan's read (§3.2): merge-sort [sources] into key order and drop
    rows outside the plan's timestamp bounds, counting every row
@@ -1071,10 +1084,12 @@ let maybe_stage ?prof t ~has_disk sources =
       Pscan.stage pool ~now_us ~on_worker ~on_stall sources
   | _ -> (sources, fun () -> ())
 
-(* A running query: its stream and the idempotent [close] that joins
-   staged producers, releases the plan's pins and drains doomed files. *)
-type scan = {
-  src : Cursor.source;
+(* A running query: its stream, the schema its rows are under, and the
+   idempotent [close] that joins staged producers, releases the plan's
+   pins and drains doomed files. *)
+type 'a scan = {
+  src : 'a Cursor.stream;
+  row_schema : Schema.t;
   close : unit -> unit;
   scanned : int ref;
   tablets : int;
@@ -1082,42 +1097,49 @@ type scan = {
   counters : Tablet.scan_counters;
 }
 
-let query_raw ?prof t (q : Query.t) =
+(* The one scan of a query, in [form]. The plan, the schema and the
+   sources come from one [state] region, so memtable rows, disk rows
+   and the schema they are read under always agree. *)
+let query_raw (type a) ?prof t ~(form : a Tablet.form) (q : Query.t) : a scan =
   let plan0 = match prof with Some _ -> Clock.now t.clock | None -> 0L in
   let counters = Tablet.fresh_counters () in
   let scanned = ref 0 in
-  match Query.compile t.schema q with
+  let schema0 = Mutexes.with_lock t.state (fun () -> t.schema) in
+  match Query.compile schema0 q with
   | None ->
-      { src = (fun () -> None); close = ignore; scanned; tablets = 0; pruned = 0;
-        counters }
+      { src = (fun () -> None); row_schema = schema0; close = ignore; scanned;
+        tablets = 0; pruned = 0; counters }
   | Some compiled ->
       let asc = q.Query.direction = Query.Asc in
-      let plan =
-        Mutexes.with_lock t.state (fun () ->
-            plan_locked t ~lo:compiled.Query.lo ?hi:compiled.Query.hi
-              ?ts_min:q.Query.ts_min ?ts_max:q.Query.ts_max)
-      in
+      let planned = ref None in
       let stop = ref ignore in
       let closed = ref false in
       let close () =
         if not !closed then begin
           closed := true;
-          Fun.protect !stop ~finally:(fun () -> finish t plan);
+          Fun.protect !stop ~finally:(fun () -> Option.iter (finish t) !planned);
           drain_doomed t
         end
       in
-      let tablets = List.length plan.pinned in
       (match
          (* [projection] and [counters] thread through to {!Tablet.iter}
             so columnar tablets decode only the referenced columns and
             report pushdown tallies. *)
-         let sources =
+         let plan, schema, sources =
            Mutexes.with_lock t.state (fun () ->
-               List.map (mem_stream plan ~asc) plan.mems
-               @ List.map
-                   (disk_stream plan ~asc ?projection:q.Query.projection
-                      ~counters)
-                   (open_locked t plan.pinned))
+               let plan =
+                 plan_locked t ~lo:compiled.Query.lo ?hi:compiled.Query.hi
+                   ?ts_min:q.Query.ts_min ?ts_max:q.Query.ts_max
+               in
+               planned := Some plan;
+               let schema = t.schema in
+               ( plan,
+                 schema,
+                 List.map (mem_stream_as form ~schema plan ~asc) plan.mems
+                 @ List.map
+                     (disk_stream plan ~form ~asc ?projection:q.Query.projection
+                        ~counters)
+                     (open_locked t plan.pinned) ))
          in
          let staged, finish_stage =
            maybe_stage ?prof t ~has_disk:(plan.pinned <> []) sources
@@ -1126,11 +1148,12 @@ let query_raw ?prof t (q : Query.t) =
          (match prof with
          | Some pr -> pr.pr_plan_us <- Int64.sub (Clock.now t.clock) plan0
          | None -> ());
-         plan_cursor plan ~scanned ~asc staged
+         (plan, schema, plan_cursor plan ~scanned ~asc staged)
        with
-      | src ->
-          { src; close; scanned; tablets; pruned = plan.considered - tablets;
-            counters }
+      | plan, schema, src ->
+          let tablets = List.length plan.pinned in
+          { src; row_schema = schema; close; scanned; tablets;
+            pruned = plan.considered - tablets; counters }
       | exception e ->
           close ();
           raise e)
@@ -1148,7 +1171,7 @@ let note_query_done t ~t0 ~h0 ~m0 ~scanned ~returned ~tablets
 
 let query_iter t q =
   let t0, h0, m0 = obs_begin t in
-  let sc = query_raw t q in
+  let sc = query_raw t ~form:Tablet.Decoded q in
   let src =
     match q.Query.limit with None -> sc.src | Some n -> Cursor.take n sc.src
   in
@@ -1173,36 +1196,34 @@ let query_iter t q =
           raise e
     end
 
-type result = {
-  rows : Value.t array list;
+type 'rows reply = {
+  rows : 'rows;
   more_available : bool;
   scanned : int;
   profile : Lt_obs.Profile.t option;
 }
 
-let query ?(profile = false) t (q : Query.t) =
+type result = Value.t array list reply
+
+(* One capped reply in [form]: [gather] turns the scan's stream and
+   schema into the reply's rows, taking at most [cap] of them, and says
+   how many it took and whether the stream had more. *)
+let capped_reply ~profile t ~form (q : Query.t) gather =
   let t0, h0, m0 = obs_begin t in
   let prof = if profile then Some (prof_acc_create t) else None in
-  let sc = query_raw ?prof t q in
+  let sc = query_raw ?prof t ~form q in
   let server_cap = t.config.Config.server_row_limit in
   let cap =
     match q.Query.limit with
     | None -> server_cap
     | Some l -> min l server_cap
   in
-  let rec collect acc n =
-    if n = 0 then (List.rev acc, sc.src () <> None)
-    else begin
-      match sc.src () with
-      | None -> (List.rev acc, false)
-      | Some (_, row) -> collect (row :: acc) (n - 1)
-    end
-  in
   let scan0 = if profile then Clock.now t.clock else 0L in
   (* [close] joins in-flight producers, so worker busy totals are final. *)
-  let rows, more = Fun.protect ~finally:sc.close (fun () -> collect [] cap) in
+  let rows, returned, more =
+    Fun.protect ~finally:sc.close (fun () -> gather sc.row_schema ~cap sc.src)
+  in
   let scanned = !(sc.scanned) in
-  let returned = List.length rows in
   note_query_done t ~t0 ~h0 ~m0 ~scanned ~returned ~tablets:sc.tablets
     sc.counters;
   (* more_available signals only the server's own cap (§3.5): when the
@@ -1219,6 +1240,22 @@ let query ?(profile = false) t (q : Query.t) =
       prof
   in
   { rows; more_available; scanned; profile }
+
+let query ?(profile = false) t q =
+  capped_reply ~profile t ~form:Tablet.Decoded q (fun _ ~cap src ->
+      let rec collect acc n =
+        if n = cap then (List.rev acc, n, src () <> None)
+        else
+          match src () with
+          | None -> (List.rev acc, n, false)
+          | Some (_, row) -> collect (row :: acc) (n + 1)
+      in
+      collect [] 0)
+
+let query_page ?(profile = false) t q =
+  capped_reply ~profile t ~form:Tablet.Encoded q (fun schema ~cap src ->
+      let page, more = Row_page.collect schema ~cap src in
+      (page, page.Row_page.count, more))
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate pushdown                                                  *)
@@ -1289,7 +1326,8 @@ let query_agg ?(profile = false) t (q : Query.t) ~specs =
                     residue
                   end
                   else
-                    disk_stream plan ~asc:true ~projection:needed ~counters p
+                    disk_stream plan ~form:Tablet.Decoded ~asc:true
+                      ~projection:needed ~counters p
                     :: residue)
                 (Mutexes.with_lock t.state (fun () -> open_locked t plan.pinned))
                 []
@@ -1359,7 +1397,7 @@ let latest t prefix_values =
                   List.filter_map
                     (fun ((_, r) as p) ->
                       if Tablet.may_contain_prefix r prefix then
-                        Some (disk_stream plan ~asc:false p)
+                        Some (disk_stream plan ~form:Tablet.Decoded ~asc:false p)
                       else None)
                     (open_locked t dts))
           in

@@ -91,8 +91,9 @@ val insert_row : t -> Value.t array -> unit
 
 (** {1 Queries} *)
 
-type result = {
-  rows : Value.t array list;
+(** One capped reply (§3.5), generic over how its rows are held. *)
+type 'rows reply = {
+  rows : 'rows;
   more_available : bool;
       (** the server's own row limit was hit before the client's (§3.5);
           resubmit with the key bound advanced past the last row *)
@@ -101,12 +102,24 @@ type result = {
       (** per-stage breakdown, present iff the query asked for one *)
 }
 
+(** A reply of decoded rows. *)
+type result = Value.t array list reply
+
 (** [query ?profile t q] — [~profile:true] additionally measures a
     per-stage {!Lt_obs.Profile.t} (plan/scan/stall times, rows, tablet
     pruning, cache deltas) using the table's own clock; it works even
     when [Config.obs_enabled] is false and never changes the rows
     returned. *)
 val query : ?profile:bool -> t -> Query.t -> result
+
+(** {!query} with its rows left encoded: the same plan, merge, timestamp
+    filter and cap, but each row is copied into a {!Row_page.t} as its
+    key bytes and value encoding under the table's current schema.
+    Row-major blocks stored under that schema are copied verbatim;
+    older and columnar blocks are re-encoded ({!Tablet.iter}'s
+    [Encoded] form) and memtable rows are encoded as they stream. This
+    is what a server sends on the wire. *)
+val query_page : ?profile:bool -> t -> Query.t -> Row_page.t reply
 
 (** Streaming scan (no server row cap). The source holds references on
     the tablets it reads; they release when it is drained. *)

@@ -349,26 +349,24 @@ let query_page ?profile t table query =
   let implicit = profile = None in
   let profile = Option.value profile ~default:t.profiling in
   match roundtrip t (Protocol.Query { table; query; profile }) with
-  | Protocol.Row_batch { rows; more_available; scanned; profile = p } ->
+  | Protocol.Row_page { page; more_available; scanned; profile = p } ->
       (match p with
       | Some prof when implicit ->
           Lt_util.Mutexes.with_lock t.mutex (fun () ->
               t.profiles <- prof :: t.profiles)
       | _ -> ());
-      { rows; more_available; scanned; profile = p }
+      (* The SQL/wire boundary: the one place a query's rows are
+         decoded, with the schema the page carries. *)
+      { rows = Row_page.rows page; more_available; scanned; profile = p }
   | Protocol.Error msg -> raise (Remote_error msg)
   | _ -> raise (Remote_error "bad query response")
 
 (* Advance the query past [last_row]: the new lower (ascending) or upper
    (descending) bound excludes the full primary key of the last row
    received — the adaptor's resubmission step (§3.5). *)
-let advance_past schema (q : Query.t) last_row =
-  let key_values =
-    Array.to_list (Array.map (fun i -> last_row.(i)) (Schema.pkey schema))
-  in
-  match q.Query.direction with
-  | Query.Asc -> { q with Query.key_low = Query.Excl key_values }
-  | Query.Desc -> { q with Query.key_high = Query.Excl key_values }
+let advance_past schema q last_row =
+  Query.resume_after q
+    (Array.to_list (Array.map (fun i -> last_row.(i)) (Schema.pkey schema)))
 
 let query_iter t table query =
   let schema, _ = table_info t table in

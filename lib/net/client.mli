@@ -120,7 +120,9 @@ type page = {
   profile : Lt_obs.Profile.t option;
 }
 
-(** One server round trip; at most the server's row cap. [?profile]
+(** One server round trip; at most the server's row cap. The reply's
+    rows arrive encoded ({!Littletable.Row_page}) and are decoded here,
+    with the schema the page carries. [?profile]
     overrides the sticky {!set_profiling} flag for this page (explicit
     profiles are returned but not accumulated for {!take_profiles} —
     the router's mode). *)
@@ -133,11 +135,6 @@ val query_all : t -> string -> Query.t -> Value.t array list
 
 (** Streaming variant of {!query_all}; fetches pages lazily. *)
 val query_iter : t -> string -> Query.t -> (unit -> Value.t array option)
-
-(** [advance_past schema q last_row] is the §3.5 resubmission step: the
-    query whose key bound excludes [last_row]'s full primary key, in
-    [q]'s direction. Exposed for the router's per-shard paging. *)
-val advance_past : Schema.t -> Query.t -> Value.t array -> Query.t
 
 val latest : t -> string -> Value.t list -> Value.t array option
 

@@ -5,7 +5,7 @@ exception Protocol_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Protocol_error s)) fmt
 
-let version = 4
+let version = 5
 
 let max_frame = 64 * 1024 * 1024
 
@@ -56,6 +56,12 @@ type response =
   | Insert_ok of int
   | Row_batch of {
       rows : Value.t array list;
+      more_available : bool;
+      scanned : int;
+      profile : Lt_obs.Profile.t option;
+    }
+  | Row_page of {
+      page : Row_page.t;
       more_available : bool;
       scanned : int;
       profile : Lt_obs.Profile.t option;
@@ -663,6 +669,19 @@ let get_snapshot cur =
       in
       { Lt_obs.Metrics.sn_name; sn_help; sn_kind; sn_bounds; sn_children })
 
+(* A page reply is its head, the page's bytes, and its tail; a large
+   one is sent in those three pieces (see [send_response]). *)
+let put_page_head b page =
+  Binio.put_u8 b 5;
+  Schema.encode b page.Row_page.schema;
+  Binio.put_varint b page.Row_page.count;
+  Binio.put_varint b page.Row_page.len
+
+let put_page_tail b ~more_available ~scanned ~profile =
+  Binio.put_u8 b (if more_available then 1 else 0);
+  Binio.put_varint b scanned;
+  put_opt_profile b profile
+
 let write_response b = function
   | Hello_ok v ->
       Binio.put_u8 b 0;
@@ -679,12 +698,15 @@ let write_response b = function
   | Insert_ok n ->
       Binio.put_u8 b 4;
       Binio.put_varint b n
-  | Row_batch { rows; more_available; scanned; profile } ->
-      Binio.put_u8 b 5;
-      put_rows b rows;
-      Binio.put_u8 b (if more_available then 1 else 0);
-      Binio.put_varint b scanned;
-      put_opt_profile b profile
+  | Row_batch _ ->
+      invalid_arg
+        "Protocol.write_response: Row_batch is the in-process view; query \
+         replies travel as Row_page"
+  | Row_page { page; more_available; scanned; profile } ->
+      put_page_head b page;
+      Buffer.add_substring b page.Row_page.data page.Row_page.off
+        page.Row_page.len;
+      put_page_tail b ~more_available ~scanned ~profile
   | Latest_row None ->
       Binio.put_u8 b 6;
       Binio.put_u8 b 0
@@ -749,11 +771,30 @@ let read_response cur =
   | 3 -> Ok
   | 4 -> Insert_ok (Binio.get_varint cur)
   | 5 ->
-      let rows = get_rows cur in
-      let more_available = Binio.get_u8 cur = 1 in
+      let schema =
+        try Schema.decode cur
+        with Schema.Invalid msg -> error "bad page schema: %s" msg
+      in
+      let count = Binio.get_varint cur in
+      let len = Binio.get_varint cur in
+      (* The smallest entry is a one-byte length, an 8-byte key and an
+         empty value's one-byte length. *)
+      if count < 0 || len < 0 || count > len / 10 then
+        error "implausible page: %d rows in %d bytes" count len;
+      (* The page stays a window on the frame: no copy of its rows, and
+         no walk over them — its readers check the framing as they go. *)
+      let off = cur.Binio.pos in
+      Binio.skip cur len;
+      let page = { Row_page.schema; count; data = cur.Binio.data; off; len } in
+      let more_available =
+        match Binio.get_u8 cur with
+        | 0 -> false
+        | 1 -> true
+        | n -> error "bad more_available flag %d" n
+      in
       let scanned = Binio.get_varint cur in
       let profile = get_opt_profile cur in
-      Row_batch { rows; more_available; scanned; profile }
+      Row_page { page; more_available; scanned; profile }
   | 6 -> (
       match Binio.get_u8 cur with
       | 0 -> Latest_row None
@@ -815,6 +856,14 @@ let write_all_bytes fd b =
     off := !off + n
   done
 
+let write_all_substring fd s ~off ~len =
+  Lazy.force ignore_sigpipe;
+  let sent = ref 0 in
+  while !sent < len do
+    let n = Unix.write_substring fd s (off + !sent) (len - !sent) in
+    sent := !sent + n
+  done
+
 let read_exact fd n =
   let b = Bytes.create n in
   let off = ref 0 in
@@ -869,10 +918,31 @@ let recv_request fd =
   Binio.expect_end cur;
   (ctx, req)
 
+(* A page of rows is megabytes: above [gather_min] bytes its rows
+   leave straight from the page's own string, between the frame's head
+   and tail, rather than through a copy into the frame buffer. *)
+let gather_min = 64 * 1024
+
 let send_response fd resp =
-  let b = frame_buffer () in
-  write_response b resp;
-  send_buffer fd b
+  match resp with
+  | Row_page { page; more_available; scanned; profile }
+    when page.Row_page.len >= gather_min ->
+      let head = frame_buffer () in
+      put_page_head head page;
+      let tail = Buffer.create 64 in
+      put_page_tail tail ~more_available ~scanned ~profile;
+      let len = Buffer.length head - 4 + page.Row_page.len + Buffer.length tail in
+      if len > max_frame then error "frame of %d bytes exceeds limit" len;
+      let head = Buffer.to_bytes head in
+      Bytes.set_int32_le head 0 (Int32.of_int len);
+      write_all_bytes fd head;
+      write_all_substring fd page.Row_page.data ~off:page.Row_page.off
+        ~len:page.Row_page.len;
+      write_all_bytes fd (Buffer.to_bytes tail)
+  | _ ->
+      let b = frame_buffer () in
+      write_response b resp;
+      send_buffer fd b
 
 let recv_response fd =
   let cur = Binio.cursor (recv_frame fd) in

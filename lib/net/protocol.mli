@@ -7,10 +7,13 @@
     messages: a [u32] little-endian frame length followed by a one-byte
     tag and a {!Lt_util.Binio}-encoded body.
 
-    Values travel with a type tag so row encoding is schema-independent.
-    A query produces one [Row_batch] capped at the server's row limit,
-    with the §3.5 [more_available] flag telling the adaptor to advance
-    its key bound and resubmit. *)
+    Query replies carry rows as they are stored: a [Row_page] holds the
+    schema that decodes it and each row's key bytes and value encoding
+    ({!Littletable.Row_page}), so a router merges on key bytes and only
+    the client decodes. A query produces one page capped at the
+    server's row limit, with the §3.5 [more_available] flag telling the
+    adaptor to advance its key bound and resubmit. Values elsewhere
+    (inserts, key bounds, latest rows) travel with a type tag. *)
 
 open Littletable
 
@@ -86,6 +89,18 @@ type response =
       scanned : int;
       profile : Lt_obs.Profile.t option;  (** present iff requested *)
     }
+      (** a query reply decoded, for in-process callers of
+          {!Server.handle}; it has no wire form ({!write_response}
+          raises [Invalid_argument]) *)
+  | Row_page of {
+      page : Row_page.t;
+      more_available : bool;
+      scanned : int;
+      profile : Lt_obs.Profile.t option;  (** present iff requested *)
+    }
+      (** a query reply on the wire: rows still encoded, the page a
+          window on the frame it arrived in. Whoever reads the rows
+          decodes them and checks their framing ({!Row_page}) *)
   | Latest_row of Value.t array option
   | Stats_resp of Stats.snapshot
   | Error of string
@@ -149,7 +164,9 @@ val get_opt_ctx : Lt_util.Binio.cursor -> Lt_obs.Trace.ctx option
     Frames go out writev-style: the length header and the message body
     are gathered into one buffer (the length patched over four reserved
     bytes) and leave in a single write, so a batch costs one syscall
-    rather than per-message header writes. *)
+    rather than per-message header writes. A [Row_page] of 64 kB or more
+    is the exception: its head, its rows (straight from the page's
+    string, uncopied) and its tail leave in three writes. *)
 
 val send_frame : Unix.file_descr -> string -> unit
 

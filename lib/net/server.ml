@@ -182,9 +182,27 @@ let handle db req =
   | Get_metrics_snapshot ->
       Metrics_snapshot (Metrics.snapshot (Obs.registry (Db.obs db)))
 
+(* The wire answer: a query's rows stay encoded from block to socket;
+   every other request is answered as [handle] answers it. *)
+let handle_wire db req =
+  match req with
+  | Protocol.Query { table; query; profile } -> (
+      match Db.find_table db table with
+      | None -> Protocol.Error (Printf.sprintf "no such table %S" table)
+      | Some tbl ->
+          let r = Table.query_page ~profile tbl query in
+          Protocol.Row_page
+            {
+              page = r.Table.rows;
+              more_available = r.Table.more_available;
+              scanned = r.Table.scanned;
+              profile = r.Table.profile;
+            })
+  | req -> handle db req
+
 let db_backend db =
   {
-    b_handle = handle db;
+    b_handle = handle_wire db;
     b_obs = Db.obs db;
     b_render = (fun () -> Obs.render (Db.obs db));
     b_maintenance = Some (fun () -> Db.maintenance db);

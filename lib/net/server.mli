@@ -28,13 +28,20 @@ type backend = {
   b_on_stop : unit -> unit;  (** final flush/teardown, runs once in [stop] *)
 }
 
-(** The single-node request handler, exposed so in-process callers (the
-    warm-spare replica, tests) can dispatch without a socket. Handles
+(** The single-node request handler, exposed so in-process callers
+    (tests, reference checks) can dispatch without a socket. Handles
     every request including [Get_placement] (answered with policy
-    ["single"]). *)
+    ["single"]); a [Query] is answered with the decoded
+    [Protocol.Row_batch]. *)
 val handle : Littletable.Db.t -> Protocol.request -> Protocol.response
 
-(** A {!backend} serving a local database. *)
+(** {!handle} as a wire server answers: a [Query] gets a
+    [Protocol.Row_page] built by {!Littletable.Table.query_page}, whose
+    rows stay encoded, instead of the decoded [Row_batch]. Every other
+    request is answered exactly as {!handle} answers it. *)
+val handle_wire : Littletable.Db.t -> Protocol.request -> Protocol.response
+
+(** A {!backend} serving a local database with {!handle_wire}. *)
 val db_backend : Littletable.Db.t -> backend
 
 (** [start ?maintenance_period_s ?metrics_port ~db ~port ()] binds

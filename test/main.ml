@@ -24,6 +24,7 @@ let () =
       ("sql", Test_sql.suite);
       ("net", Test_net.suite);
       ("cluster", Test_cluster.suite);
+      ("pages", Test_pages.suite);
       ("obs", Test_obs.suite);
       ("apps", Test_apps.suite);
       ("shard", Test_shard.suite);

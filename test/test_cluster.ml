@@ -89,9 +89,9 @@ let temp_dir () =
 let rm_rf dir =
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
-let start_node () =
+let start_node ?(config = node_config) () =
   let dir = temp_dir () in
-  let db = Db.open_ ~config:node_config ~dir () in
+  let db = Db.open_ ~config ~dir () in
   let server = Server.start ~maintenance_period_s:0.0 ~db ~port:0 () in
   { n_dir = dir; n_server = server }
 
@@ -107,9 +107,10 @@ let endpoint_of n =
    single-node reference server; [rc]/[sc] are clients of each. The
    equality gate drives identical traffic through both and expects
    identical answers. *)
-let with_cluster ~shards ~policy f =
-  let nodes = List.init shards (fun _ -> start_node ()) in
-  let reference = start_node () in
+let with_cluster ?(row_limit = row_limit) ~shards ~policy f =
+  let config = Config.make ~server_row_limit:row_limit () in
+  let nodes = List.init shards (fun _ -> start_node ~config ()) in
+  let reference = start_node ~config () in
   let cleanup = ref [] in
   Fun.protect
     ~finally:(fun () ->
@@ -218,6 +219,61 @@ let test_equality_range () =
   with_cluster ~shards:3
     ~policy:(Placement.Range [ Value.Int64 3L; Value.Int64 5L ])
     run_equality_gate
+
+(* A routed query forwards a per-shard limit: a shard is asked for no
+   more rows than the merge can take from it — the [cap] rows returned,
+   the pull that learns [more], and the merge's eager refill — instead
+   of every matching row. The reply stays identical to a single node. *)
+let test_limit_bounds_shard_pulls () =
+  let cap = 50 in
+  with_cluster ~row_limit:1000 ~shards:3
+    ~policy:(Placement.Hash { vnodes = 64 })
+    (fun ~router:_ ~rc ~sc ~nodes ->
+      let schema = Support.usage_schema () in
+      Client.create_table rc "usage" schema ~ttl:None;
+      Client.create_table sc "usage" schema ~ttl:None;
+      let rows =
+        List.concat_map
+          (fun net ->
+            List.init 40 (fun i ->
+                Support.usage_row ~network:(Int64.of_int net)
+                  ~device:(Int64.of_int (i mod 8)) ~ts:(Int64.of_int (i / 8))
+                  ~bytes:(Int64.of_int i) ~rate:0.25))
+          (List.init 24 succ)
+      in
+      Client.insert rc "usage" rows;
+      Client.insert sc "usage" rows;
+      let returned () =
+        List.map
+          (fun n ->
+            let c = Client.connect ~port:(Server.port n.n_server) () in
+            let r = (Client.stats c "usage").Stats.rows_returned in
+            Client.close c;
+            r)
+          nodes
+      in
+      List.iter
+        (fun (name, q) ->
+          let before = returned () in
+          let pr = Client.query_page rc "usage" q in
+          let after = returned () in
+          let ps = Client.query_page sc "usage" q in
+          Alcotest.(check bool) (name ^ ": rows identical") true
+            (pr.Client.rows = ps.Client.rows);
+          Alcotest.(check int) (name ^ ": row count") cap
+            (List.length pr.Client.rows);
+          Alcotest.(check bool) (name ^ ": more_available identical")
+            ps.Client.more_available pr.Client.more_available;
+          List.iteri
+            (fun i (b, a) ->
+              if a - b > cap + 2 then
+                Alcotest.failf "%s: shard %d returned %d rows for limit %d" name
+                  i (a - b) cap)
+            (List.combine before after))
+        [ ("limit asc", Query.with_limit cap Query.all);
+          ("limit desc", Query.with_limit cap (Query.with_direction Query.Desc Query.all));
+          ( "limit ts band",
+            Query.with_limit cap (Query.between ~ts_min:1L ~ts_max:3L Query.all) ) ])
 
 (* DDL fans out to every shard: schema evolution through the router
    matches the single node. *)
@@ -688,6 +744,7 @@ let suite =
     ("router equality gate (hash)", `Quick, test_equality_hash);
     ("router equality gate (range)", `Quick, test_equality_range);
     ("ddl fans out", `Quick, test_ddl_fanout);
+    ("limited query bounds per-shard pulls", `Quick, test_limit_bounds_shard_pulls);
     ("rebalance", `Quick, test_rebalance);
     ("router partial failure reports per-shard landed rows", `Quick,
       test_router_partial_failure);

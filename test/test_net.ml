@@ -123,23 +123,49 @@ let sample_profile =
       ];
   }
 
+(* A page as a server builds one: each row's key bytes and value
+   encoding under [schema]. *)
+let page_of schema rows =
+  let b = Buffer.create 64 in
+  List.iter
+    (fun row ->
+      Row_page.add b ~key:(Key_codec.encode_key schema row)
+        ~value:(Row_codec.encode_value schema row))
+    rows;
+  Row_page.of_string schema ~count:(List.length rows) (Buffer.contents b)
+
+(* Same schema, count and bytes; a page read off the wire is a window
+   on its frame, so the windows differ. *)
+let same_page (a : Row_page.t) (b : Row_page.t) =
+  Schema.equal a.schema b.schema
+  && a.count = b.count
+  && String.sub a.data a.off a.len = String.sub b.data b.off b.len
+
+let sample_rows =
+  [
+    Support.usage_row ~network:1L ~device:2L ~ts:3L ~bytes:4L ~rate:0.5;
+    Support.usage_row ~network:1L ~device:2L ~ts:(-7L) ~bytes:Int64.min_int
+      ~rate:Float.infinity;
+  ]
+
 let test_protocol_responses () =
+  let schema = Support.usage_schema () in
   let resps =
     [
       Protocol.Hello_ok 1;
       Protocol.Tables [ "a"; "b" ];
       Protocol.Ok;
       Protocol.Insert_ok 12;
-      Protocol.Row_batch
+      Protocol.Row_page
         {
-          rows = [ [| Value.Int64 1L |]; [| Value.String "s" |] ];
+          page = page_of schema sample_rows;
           more_available = true;
           scanned = 99;
           profile = None;
         };
-      Protocol.Row_batch
+      Protocol.Row_page
         {
-          rows = [];
+          page = page_of (Support.event_schema ()) [];
           more_available = false;
           scanned = 0;
           profile = Some sample_profile;
@@ -245,8 +271,30 @@ let test_protocol_responses () =
     ]
   in
   List.iter
-    (fun r -> Alcotest.(check bool) "response roundtrip" true (roundtrip_response r = r))
-    resps
+    (fun r ->
+      let same =
+        match (r, roundtrip_response r) with
+        | ( Protocol.Row_page { page = a; more_available = m; scanned = n; profile = p },
+            Protocol.Row_page { page = b; more_available = m'; scanned = n'; profile = p' } ) ->
+            same_page a b && m = m' && n = n' && p = p'
+        | r', r'' -> r' = r''
+      in
+      Alcotest.(check bool) "response roundtrip" true same)
+    resps;
+  (match roundtrip_response (List.nth resps 4) with
+  | Protocol.Row_page { page; _ } ->
+      Alcotest.(check bool) "page rows decode" true
+        (Row_page.rows page = sample_rows)
+  | _ -> Alcotest.fail "page lost");
+  (* The decoded view has no wire form: one row format on the wire. *)
+  match
+    Protocol.write_response (Buffer.create 16)
+      (Protocol.Row_batch
+         { rows = sample_rows; more_available = false; scanned = 0;
+           profile = None })
+  with
+  | () -> Alcotest.fail "Row_batch written to the wire"
+  | exception Invalid_argument _ -> ()
 
 let test_protocol_rejects_garbage () =
   (match Protocol.read_request (Lt_util.Binio.cursor "\xee") with
@@ -430,12 +478,17 @@ let test_mixed_version_hello_rejected () =
         (fun () ->
           Unix.connect fd
             (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
-          Protocol.send_request fd (Protocol.Hello 1);
-          (match Protocol.recv_response fd with
-          | Protocol.Error msg ->
-              Alcotest.(check bool) "names the version" true
-                (Support.contains ~sub:"version" msg)
-          | _ -> Alcotest.fail "stale version accepted");
+          (* 1 is the first protocol; 4 is the last whose query
+             replies carried tagged rows instead of pages. *)
+          List.iter
+            (fun v ->
+              Protocol.send_request fd (Protocol.Hello v);
+              match Protocol.recv_response fd with
+              | Protocol.Error msg ->
+                  Alcotest.(check bool) "names the version" true
+                    (Support.contains ~sub:"version" msg)
+              | _ -> Alcotest.failf "stale version %d accepted" v)
+            [ 1; 4 ];
           (* The current version still gets through on the same socket. *)
           Protocol.send_request fd (Protocol.Hello Protocol.version);
           match Protocol.recv_response fd with
@@ -731,6 +784,105 @@ let prop_decoders_total =
       in
       ok Protocol.read_request && ok Protocol.read_response)
 
+(* Hostile pages: truncations and byte flips of valid page frames, and
+   frames with implausible counts and lengths, either decode (framing
+   and every row) or raise a protocol/corruption error — never another
+   exception, never a hang. Seeded, so a failure replays. *)
+let test_hostile_pages () =
+  let schema = Support.event_schema () in
+  let rows =
+    List.init 6 (fun i ->
+        [| Value.String (Printf.sprintf "net\x00%d" i); Value.String "dev\x01";
+           Value.Timestamp (Int64.of_int (i * 1000)); Value.Int64 (Int64.of_int i);
+           Value.Blob (String.make i '\xff') |])
+  in
+  let frame ?(profile = None) page =
+    let b = Buffer.create 256 in
+    Protocol.write_response b
+      (Protocol.Row_page { page; more_available = true; scanned = 6; profile });
+    Buffer.contents b
+  in
+  let valid =
+    [ frame (page_of schema rows);
+      frame ~profile:(Some sample_profile) (page_of schema [ List.hd rows ]);
+      frame (page_of (Support.usage_schema ()) sample_rows) ]
+  in
+  let outcome bytes =
+    match
+      let cur = Lt_util.Binio.cursor bytes in
+      let resp = Protocol.read_response cur in
+      Lt_util.Binio.expect_end cur;
+      match resp with
+      | Protocol.Row_page { page; _ } -> ignore (Row_page.rows page)
+      | _ -> ()
+    with
+    | () -> `Ok
+    | exception (Protocol.Protocol_error _ | Lt_util.Binio.Corrupt _) -> `Refused
+  in
+  List.iter
+    (fun f -> Alcotest.(check bool) "valid frame decodes" true (outcome f = `Ok))
+    valid;
+  let rng = Lt_util.Xorshift.create 0x5eedL in
+  let refused = ref 0 and cases = ref 0 in
+  let run bytes =
+    incr cases;
+    match outcome bytes with
+    | `Refused -> incr refused
+    | `Ok -> ()
+    | exception e ->
+        Alcotest.failf "case %d: %s escaped the decoder" !cases
+          (Printexc.to_string e)
+  in
+  List.iter
+    (fun f ->
+      let n = String.length f in
+      for len = 0 to n - 1 do
+        run (String.sub f 0 len)
+      done;
+      for _ = 1 to 400 do
+        let b = Bytes.of_string f in
+        for _ = 1 to 1 + Lt_util.Xorshift.int rng 3 do
+          Bytes.set b (Lt_util.Xorshift.int rng n)
+            (Char.chr (Lt_util.Xorshift.int rng 256))
+        done;
+        run (Bytes.to_string b)
+      done)
+    valid;
+  (* Implausible counts and lengths, written by hand after a valid
+     schema. *)
+  let forged ~count ~len body =
+    let b = Buffer.create 64 in
+    Lt_util.Binio.put_u8 b 5;
+    Schema.encode b schema;
+    Lt_util.Binio.put_varint b count;
+    Lt_util.Binio.put_varint b len;
+    Buffer.add_string b body;
+    Lt_util.Binio.put_u8 b 0;
+    Lt_util.Binio.put_varint b 0;
+    Lt_util.Binio.put_u8 b 0;
+    Buffer.contents b
+  in
+  let key = String.make 8 '\x80' in
+  let entry ~klen ~vlen =
+    let b = Buffer.create 32 in
+    Lt_util.Binio.put_varint b klen;
+    Buffer.add_string b (String.sub (key ^ key) 0 (min klen 16));
+    Lt_util.Binio.put_varint b vlen;
+    Buffer.contents b
+  in
+  List.iter run
+    [ forged ~count:max_int ~len:100 (String.make 100 'x');
+      forged ~count:1_000_000 ~len:10 (String.make 10 'x');
+      forged ~count:1 ~len:max_int "";
+      forged ~count:1 ~len:(1 lsl 40) (String.make 64 'x');
+      forged ~count:2 ~len:20 (entry ~klen:8 ~vlen:0 ^ String.make 10 '\000');
+      forged ~count:1 ~len:10 (entry ~klen:3 ~vlen:0 ^ "xxxxx");
+      forged ~count:1 ~len:10 (entry ~klen:8 ~vlen:max_int);
+      forged ~count:1 ~len:11 (entry ~klen:16 ~vlen:0);
+      forged ~count:0 ~len:10 (entry ~klen:8 ~vlen:0) ];
+  Alcotest.(check bool) "forged counts refused" true (!refused >= 9);
+  Alcotest.(check bool) "sweep ran" true (!cases > 1000)
+
 (* Regression: a varint overflowing to a negative count must be a
    protocol error, not Invalid_argument from Array.init/List.init. *)
 let test_negative_count_rejected () =
@@ -766,5 +918,6 @@ let suite =
       `Quick,
       test_buffered_rows_survive_sigkill_reconnect );
     ("negative decode counts rejected", `Quick, test_negative_count_rejected);
+    ("hostile pages refused", `Quick, test_hostile_pages);
     Support.qcheck prop_decoders_total;
   ]
